@@ -14,44 +14,23 @@ Usage:
 from __future__ import annotations
 
 import argparse
-import math
 from pathlib import Path
 
 import numpy as np
 
-from timbrecolor.color import OctaveMap, spectrum_to_xyz, standard_observer, xyz_to_srgb
+from timbrecolor.cli import _fm_path_rows, _full_span_distance, _srgb_distance
+from timbrecolor.color import OctaveMap, standard_observer
 from timbrecolor.ppm import write_ppm
-from timbrecolor.spectrum import fm_sidebands, fold_spectrum
 
 RATIOS = [(1, 1), (1, 2), (2, 3), (1, 3), (3, 2)]
 STRIP_HEIGHT = 24
 CELL_WIDTH = 4
 
 
-def color_path(carrier, modulator, grid, octave, cmf):
-    colors = []
-    for index in grid:
-        folded = fold_spectrum(fm_sidebands(carrier, modulator, index))
-        srgb = xyz_to_srgb(spectrum_to_xyz(folded, octave, cmf))
-        colors.append((srgb.r, srgb.g, srgb.b))
-    return colors
-
-
-def path_metrics(colors):
-    steps = [
-        math.dist(a, b) for a, b in zip(colors, colors[1:])
-    ]
-    span = 0.0
-    for i in range(len(colors)):
-        for j in range(i + 1, len(colors)):
-            span = max(span, math.dist(colors[i], colors[j]))
-    return sum(steps), max(steps, default=0.0), span
-
-
 def strip_image(colors):
     image = np.zeros((STRIP_HEIGHT, CELL_WIDTH * len(colors), 3), dtype=np.uint8)
-    for n, rgb in enumerate(colors):
-        image[:, n * CELL_WIDTH : (n + 1) * CELL_WIDTH] = rgb
+    for n, c in enumerate(colors):
+        image[:, n * CELL_WIDTH : (n + 1) * CELL_WIDTH] = (c.r, c.g, c.b)
     return image
 
 
@@ -74,13 +53,16 @@ def main() -> int:
     for num, den in RATIOS:
         carrier = args.base
         modulator = args.base * den / num
-        colors = color_path(carrier, modulator, grid, octave, cmf)
-        total, biggest, span = path_metrics(colors)
+        rows = _fm_path_rows(carrier, modulator, grid, octave, cmf)
+        colors = [row.srgb for row in rows]
+        steps = [_srgb_distance(a, b) for a, b in zip(colors, colors[1:])]
+        total, biggest = sum(steps), max(steps, default=0.0)
+        span = _full_span_distance(colors)
         label = f"{num}:{den}"
         print(f"{label:>8} {total:12.1f} {biggest:10.2f} {span:8.1f}")
         write_ppm(out_dir / f"ratio_{num}_{den}.ppm", strip_image(colors))
-        for index, (r, g, b) in zip(grid, colors):
-            csv_lines.append(f"{label},{index:.6f},{r},{g},{b}")
+        for index, c in zip(grid, colors):
+            csv_lines.append(f"{label},{index:.6f},{c.r},{c.g},{c.b}")
 
     (out_dir / "sweep_colors.csv").write_text("\n".join(csv_lines) + "\n")
     print(f"wrote {len(RATIOS)} strips and sweep_colors.csv to {out_dir}/")

@@ -2,26 +2,24 @@
 
 Frequency modulation with index I spreads a carrier into sidebands whose
 amplitudes are J_n(I).  Everything downstream (spectra, colors) depends on
-these values, so they are computed in fixed-precision decimal arithmetic
-(45 digits) and rounded to float64 once at the end.  That removes the
-cancellation noise the alternating power series suffers near the top of
-its range and keeps results reproducible across platforms.
+these values.  One method computes them for every argument in
+[0, 1000]: Miller's downward recurrence J_{k-1} = 2k J_k / x - J_{k+1},
+run in float64 from a seed order high above both the wanted orders and x,
+then normalized with the identity J_0(x) + 2*sum(J_2k(x)) = 1
+(Abramowitz & Stegun 9.12; Numerical Recipes section 6.5).  Downward, the
+recurrence is stable where the upward one is not, and its absolute error
+stays within a few units of 1e-16.
 
-Two evaluation strategies, split at argument 12:
-
-* power series for small arguments, where it converges in a few dozen
-  terms and the working precision absorbs the alternating-sum cancellation;
-* Miller's downward recurrence for larger arguments, normalized with the
-  identity J_0(x) + 2*sum(J_2k(x)) = 1, which is stable where the upward
-  recurrence is not.
+The ratio 2k/x exceeds 2**1074 at the smallest subnormal argument, so
+the running values are rescaled by exact powers of two to stay near
+2**-500; each kept value carries its own binary exponent until the final
+normalization.
 """
 
 from __future__ import annotations
 
-import decimal
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 __all__ = [
     "DEFAULT_TAIL_TOLERANCE",
@@ -33,9 +31,9 @@ __all__ = [
 
 DEFAULT_TAIL_TOLERANCE = 1e-10
 
-_SERIES_CUTOFF = 12.0
 _MAX_ARGUMENT = 1000.0
-_PRECISION = 45
+_SCALE_EXPONENT = -500
+_SCALE = math.ldexp(1.0, _SCALE_EXPONENT)
 
 
 def _validate_argument(argument: float) -> float:
@@ -51,47 +49,39 @@ def _validate_argument(argument: float) -> float:
     return x
 
 
-@lru_cache(maxsize=4096)
-def _series_value(order: int, argument: float) -> float:
-    # sum_k (-1)^k (x/2)^(order+2k) / (k! (order+k)!), term-by-term recurrence
-    with decimal.localcontext() as ctx:
-        ctx.prec = _PRECISION
-        half = decimal.Decimal(argument) / 2
-        z2 = half * half
-        term = decimal.Decimal(1)
-        for i in range(1, order + 1):
-            term = term * half / i
-        total = term
-        peak = abs(term)
-        floor = decimal.Decimal(1).scaleb(-_PRECISION + 2)
-        for k in range(1, 40 + 3 * (int(argument) + 1)):
-            term = -term * z2 / (k * (order + k))
-            total += term
-            mag = abs(term)
-            if mag > peak:
-                peak = mag
-            if mag < peak * floor and k * (order + k) > argument * argument / 4:
-                break
-        return float(total)
-
-
-@lru_cache(maxsize=512)
-def _miller_row(argument: float, n_max: int) -> tuple[float, ...]:
-    # Downward recurrence J_{k-1} = (2k/x) J_k - J_{k+1} from a seed high
-    # above both n_max and x, then normalize the whole row at once.
-    top = max(n_max, math.ceil(argument))
+def _miller_row(x: float, n_max: int) -> list[float]:
+    """J_0(x)..J_{n_max}(x) from one downward recurrence."""
+    if x == 0.0:
+        return [1.0] + [0.0] * n_max
+    top = max(n_max, math.ceil(x))
     start = top + 40 + 2 * math.ceil(math.sqrt(top))
-    with decimal.localcontext() as ctx:
-        ctx.prec = _PRECISION
-        x = decimal.Decimal(argument)
-        row = [decimal.Decimal(0)] * (start + 1)
-        above = decimal.Decimal(0)
-        row[start] = decimal.Decimal(1).scaleb(-40)
-        for k in range(start, 0, -1):
-            row[k - 1] = 2 * k / x * row[k] - above
-            above = row[k]
-        norm = row[0] + 2 * sum(row[2 * i] for i in range(1, start // 2 + 1))
-        return tuple(float(v / norm) for v in row[: n_max + 1])
+    # J_k is proportional to ldexp(mantissas[k], exponents[k])
+    mantissas = [0.0] * (start + 1)
+    exponents = [0] * (start + 1)
+    mantissas[start] = current = _SCALE
+    above, exponent = 0.0, 0
+    for k in range(start, 0, -1):
+        below = 2 * k * current / x - above
+        if abs(below) >= _SCALE:
+            shift = math.frexp(below)[1] - _SCALE_EXPONENT
+            below = math.ldexp(below, -shift)
+            current = math.ldexp(current, -shift)
+            exponent += shift
+        mantissas[k - 1] = below
+        exponents[k - 1] = exponent
+        above, current = current, below
+    # exponents never decrease toward k = 0, so no term below overflows
+    norm = math.fsum(
+        [mantissas[0]]
+        + [
+            2.0 * math.ldexp(mantissas[k], exponents[k] - exponent)
+            for k in range(2, start + 1, 2)
+        ]
+    )
+    return [
+        math.ldexp(mantissas[k] / norm, exponents[k] - exponent)
+        for k in range(n_max + 1)
+    ]
 
 
 def bessel_j(order: int, argument: float) -> float:
@@ -106,10 +96,7 @@ def bessel_j(order: int, argument: float) -> float:
     order = int(order)
     if order < 0:
         raise ValueError(f"Bessel order must be nonnegative, got {order}")
-    x = _validate_argument(argument)
-    if x <= _SERIES_CUTOFF:
-        return _series_value(order, x)
-    return _miller_row(x, order)[order]
+    return _miller_row(_validate_argument(argument), order)[order]
 
 
 @dataclass(frozen=True)
@@ -148,24 +135,28 @@ def _validate_tolerance(tail_tolerance: float) -> float:
     return tol
 
 
-def _row_block(modulation_index: float, extra: int = 80) -> tuple[float, ...]:
-    n_big = int(modulation_index) + extra
-    if modulation_index <= _SERIES_CUTOFF:
-        return tuple(_series_value(n, modulation_index) for n in range(n_big + 1))
-    return _miller_row(modulation_index, n_big)
+def _energy_cut(x: float, tol: float) -> tuple[list[float], int]:
+    """Row J_0..J_{int(x)+80} and the smallest N with its tail below tol.
 
-
-def _tail_energies(block: tuple[float, ...]) -> list[float]:
-    # tails[N] = 2 * sum_{n > N} J_n^2, summed upward to avoid cancellation
+    The tail is the two-sided energy left out, 2 * sum_{n > N} J_n^2.
+    """
+    block = _miller_row(x, int(x) + 80)
+    # tails[N], summed upward from the top to avoid cancellation
     tails = [0.0] * len(block)
     running = 0.0
     for n in range(len(block) - 1, 0, -1):
         running += 2.0 * block[n] * block[n]
         tails[n - 1] = running
-    return tails
+    n = 0
+    while tails[n] >= tol:
+        n += 1
+        if n >= len(block) - 1:
+            raise ValueError(
+                f"could not satisfy tail tolerance {tol} at index {x}"
+            )
+    return block, n
 
 
-@lru_cache(maxsize=1024)
 def bessel_row(
     modulation_index: float, tail_tolerance: float = DEFAULT_TAIL_TOLERANCE
 ) -> BesselCoefficients:
@@ -178,19 +169,11 @@ def bessel_row(
     """
     x = _validate_argument(modulation_index)
     tol = _validate_tolerance(tail_tolerance)
-    block = _row_block(x)
-    tails = _tail_energies(block)
-    n = 0
-    while tails[n] >= tol:
-        n += 1
-        if n >= len(block) - 1:
-            raise ValueError(
-                f"could not satisfy tail tolerance {tol} at index {x}"
-            )
+    block, n = _energy_cut(x, tol)
     while n + 1 < len(block) and abs(block[n + 1]) >= tol:
         n += 1
     return BesselCoefficients(
-        modulation_index=x, max_order=n, values=block[: n + 1]
+        modulation_index=x, max_order=n, values=tuple(block[: n + 1])
     )
 
 
@@ -204,14 +187,4 @@ def energy_order(
     though individual coefficients may still exceed the tolerance.
     """
     x = _validate_argument(modulation_index)
-    tol = _validate_tolerance(tail_tolerance)
-    block = _row_block(x)
-    tails = _tail_energies(block)
-    n = 0
-    while tails[n] >= tol:
-        n += 1
-        if n >= len(block) - 1:
-            raise ValueError(
-                f"could not satisfy tail tolerance {tol} at index {x}"
-            )
-    return n
+    return _energy_cut(x, _validate_tolerance(tail_tolerance))[1]

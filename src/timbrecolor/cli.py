@@ -27,7 +27,6 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .bessel import bessel_row
 from .color import (
     ColorMatchingTable,
     OctaveMap,
@@ -198,14 +197,15 @@ def _merge_settings(
 
 
 def build_index_grid(start: float, end: float, step: float) -> list[float]:
-    """Uniform grid start, start+step, ..., covering [start, end]."""
+    """Uniform grid start, start+step, ..., the last point at most end."""
     if not (math.isfinite(start) and math.isfinite(end) and math.isfinite(step)):
         raise ValueError("grid bounds and step must be finite")
     if step <= 0.0:
         raise ValueError(f"grid step must be positive, got {step}")
     if end < start:
         raise ValueError(f"grid end {end} below start {start}")
-    count = int(round((end - start) / step)) + 1
+    # the tolerance keeps a last point that lands on end up to rounding
+    count = math.floor((end - start) / step + 1e-9) + 1
     return [start + k * step for k in range(count)]
 
 
@@ -231,8 +231,8 @@ def _fm_path_rows(
 ) -> list[PathRow]:
     rows = []
     for index in grid:
-        coeffs = bessel_row(index)
-        folded = fold_spectrum(fm_sidebands(fc, fm, index))
+        raw = fm_sidebands(fc, fm, index)
+        folded = fold_spectrum(raw)
         xyz = spectrum_to_xyz(folded, octave, cmf)
         srgb = xyz_to_srgb(xyz)
         weight = float(np.sum(np.abs(folded.amplitudes())))
@@ -241,7 +241,7 @@ def _fm_path_rows(
                 index=index,
                 xyz=xyz,
                 srgb=srgb,
-                sideband_order=coeffs.max_order,
+                sideband_order=(len(raw) - 1) // 2,  # raw runs -N..N
                 weight_sum=weight,
             )
         )
@@ -264,6 +264,24 @@ def _squares_image(colors: Sequence[SRGBColor]) -> np.ndarray:
 
 def _srgb_distance(a: SRGBColor, b: SRGBColor) -> float:
     return math.sqrt((a.r - b.r) ** 2 + (a.g - b.g) ** 2 + (a.b - b.b) ** 2)
+
+
+def _full_span_distance(colors: Sequence[SRGBColor]) -> float:
+    """Largest sRGB distance between any two of the colors, exactly.
+
+    Compares distinct colors one row of integer differences at a time, so
+    memory stays linear; sqrt is monotone, so one sqrt of the largest
+    squared distance equals the largest pairwise distance.
+    """
+    points = np.unique(
+        np.array([(c.r, c.g, c.b) for c in colors], dtype=np.int64).reshape(-1, 3),
+        axis=0,
+    )
+    widest = 0
+    for i in range(len(points) - 1):
+        squares = np.sum((points[i + 1 :] - points[i]) ** 2, axis=1)
+        widest = max(widest, int(squares.max()))
+    return math.sqrt(widest)
 
 
 def _run_fm_path(args: argparse.Namespace) -> int:
@@ -290,10 +308,7 @@ def _run_fm_path(args: argparse.Namespace) -> int:
     max_adjacent = max(
         (_srgb_distance(a, b) for a, b in zip(colors, colors[1:])), default=0.0
     )
-    span = 0.0
-    for i in range(len(colors)):
-        for j in range(i + 1, len(colors)):
-            span = max(span, _srgb_distance(colors[i], colors[j]))
+    span = _full_span_distance(colors)
 
     log_path = s["out_log"] or str(Path(s["out_csv"]).with_suffix(".log"))
     with _csv_open(log_path) as fh:

@@ -23,17 +23,30 @@ def bessel_series(order: int, argument: float, terms: int = 60) -> float:
     Adequate for arguments up to 12, where 60 terms leave a truncation
     error far below double precision; the only rounding is the final
     conversion to float.
+
+    With half the argument written a/b and K = terms - 1, every term
+    (-1)^k (a/b)^(order+2k) / (k! (order+k)!) is an integer over the
+    common denominator b^(order+2K) K! (order+K)!, so the sum is taken
+    in integers.  Reducing fractions term by term would cost seconds per
+    value at tiny arguments, where b alone has over a thousand bits.
     """
     half = Fraction(argument) / 2
     if half == 0:
         return 1.0 if order == 0 else 0.0
-    z2 = half * half
-    term = half**order / Fraction(math.factorial(order))
-    total = term
-    for k in range(1, terms):
-        term = -term * z2 / (k * (order + k))
-        total += term
-    return float(total)
+    a, b = half.numerator, half.denominator
+    top = terms - 1
+    f_top, f_order_top = math.factorial(top), math.factorial(order + top)
+    numerator = 0
+    for k in range(terms):
+        term = (
+            a ** (order + 2 * k)
+            * b ** (2 * (top - k))
+            * (f_top // math.factorial(k))
+            * (f_order_top // math.factorial(order + k))
+        )
+        numerator += -term if k % 2 else term
+    # int / int is correctly rounded, like float(Fraction)
+    return numerator / (b ** (order + 2 * top) * f_top * f_order_top)
 
 
 def bessel_reference(order: int, argument: float) -> float:

@@ -15,8 +15,11 @@ from timbrecolor.bessel import (
     energy_order,
 )
 
-SMALL_ARGUMENTS = [0.0, 0.1, 0.5, 1.0, 2.0, 2.404825, 5.0, 8.5, 11.0, 12.0]
-LARGE_ARGUMENTS = [12.5, 15.0, 20.0, 30.0, 50.0]
+SMALL_ARGUMENTS = [
+    0.0, 0.1, 0.5, 1.0, 2.0, 2.404825, 5.0, 8.5, 11.0, 12.0,
+    1e-8, 4.3e-139, 1e-300, 5e-324,
+]
+LARGE_ARGUMENTS = [12.5, 15.0, 20.0, 30.0, 50.0, 100.0, 300.0, 999.99, 1000.0]
 
 
 class TestBesselJ:
@@ -59,7 +62,9 @@ class TestBesselJ:
 
 
 class TestBesselRow:
-    @pytest.mark.parametrize("index", [0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0])
+    @pytest.mark.parametrize(
+        "index", [0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 1e-8, 4.3e-139, 1e-300, 5e-324]
+    )
     def test_energy_identity(self, index):
         row = bessel_row(index)
         energy = row.two_sided_energy()

@@ -1,13 +1,25 @@
 """Command line behavior: outputs, determinism, config handling."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import adsr_level
-from timbrecolor.cli import build_index_grid, main
-from timbrecolor.color import OctaveMap, spectrum_to_xyz, standard_observer, xyz_to_srgb
+from timbrecolor.cli import _full_span_distance, build_index_grid, main
+from timbrecolor.color import (
+    OctaveMap,
+    SRGBColor,
+    spectrum_to_xyz,
+    standard_observer,
+    xyz_to_srgb,
+)
 from timbrecolor.gesture import parse_gesture
 from timbrecolor.ppm import read_ppm
 from timbrecolor.spectrum import fm_sidebands, fold_spectrum
@@ -46,6 +58,41 @@ class TestIndexGrid:
             build_index_grid(0.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             build_index_grid(1.0, 0.0, 0.1)
+
+    def test_grid_stops_at_the_end(self):
+        assert build_index_grid(0.0, 1.0, 0.6) == [0.0, 0.6]
+        assert build_index_grid(0.0, 1.0, 0.25) == [0.0, 0.25, 0.5, 0.75, 1.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(min_value=0.0, max_value=100.0),
+        st.floats(min_value=0.0, max_value=100.0),
+        st.floats(min_value=1e-3, max_value=10.0),
+    )
+    def test_last_point_is_the_last_one_within_the_end(self, start, span, step):
+        end = start + span
+        last = build_index_grid(start, end, step)[-1]
+        assert last <= end + 1e-9 * step
+        assert last + step > end
+
+
+class TestFullSpanDistance:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(*[st.integers(min_value=0, max_value=255)] * 3),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_matches_bruteforce_pairwise_distance(self, triples):
+        colors = [SRGBColor(r, g, b) for r, g, b in triples]
+        brute = max(
+            math.sqrt(sum((u - v) ** 2 for u, v in zip(a, b)))
+            for a in triples
+            for b in triples
+        )
+        assert _full_span_distance(colors) == brute
 
 
 class TestFMPathCommand:
@@ -334,3 +381,23 @@ class TestParserBehavior:
     def test_missing_subcommand_exits(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestSweepScript:
+    def test_writes_strips_and_csv(self, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        subprocess.run(
+            [
+                sys.executable,
+                str(root / "scripts" / "fm_color_sweep.py"),
+                "--steps", "5",
+                "--out-dir", str(tmp_path),
+            ],
+            check=True,
+            capture_output=True,
+            env=env,
+        )
+        assert len(list(tmp_path.glob("ratio_*.ppm"))) == 5
+        rows = (tmp_path / "sweep_colors.csv").read_text().splitlines()
+        assert len(rows) == 1 + 5 * 5

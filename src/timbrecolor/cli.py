@@ -39,7 +39,7 @@ from .color import (
 from .gesture import Gesture, adsr_gesture, map_gesture, serialize_gesture
 from .ppm import write_ppm
 from .spectrum import LineSpectrum, fm_sidebands, fold_spectrum
-from .synth import analyze_harmonics, render_fm_path
+from .synth import _check_size, _segment_samples, analyze_harmonics, render_fm_path
 from .wavefile import read_wav, write_wav
 
 __all__ = ["main"]
@@ -196,17 +196,24 @@ def _merge_settings(
     return settings
 
 
-def build_index_grid(start: float, end: float, step: float) -> list[float]:
-    """Uniform grid start, start+step, ..., the last point at most end."""
+def _grid_count(start: float, end: float, step: float) -> int:
+    """Number of points build_index_grid returns, without building them."""
     if not (math.isfinite(start) and math.isfinite(end) and math.isfinite(step)):
         raise ValueError("grid bounds and step must be finite")
     if step <= 0.0:
         raise ValueError(f"grid step must be positive, got {step}")
     if end < start:
         raise ValueError(f"grid end {end} below start {start}")
+    steps = (end - start) / step
+    if not math.isfinite(steps):
+        raise ValueError(f"grid from {start} to {end} by {step} has too many points")
     # the tolerance keeps a last point that lands on end up to rounding
-    count = math.floor((end - start) / step + 1e-9) + 1
-    return [start + k * step for k in range(count)]
+    return math.floor(steps + 1e-9) + 1
+
+
+def build_index_grid(start: float, end: float, step: float) -> list[float]:
+    """Uniform grid start, start+step, ..., the last point at most end."""
+    return [start + k * step for k in range(_grid_count(start, end, step))]
 
 
 def _csv_open(path: str):
@@ -286,6 +293,9 @@ def _full_span_distance(colors: Sequence[SRGBColor]) -> float:
 
 def _run_fm_path(args: argparse.Namespace) -> int:
     s = _merge_settings(args, _FM_PATH_OPTIONS)
+    # refuse an oversized render before any grid point or color row exists
+    seg = _segment_samples(s["seg_dur"], s["rate"])
+    _check_size(seg * _grid_count(s["i_start"], s["i_end"], s["i_step"]))
     grid = build_index_grid(s["i_start"], s["i_end"], s["i_step"])
     octave = OctaveMap(base_hz=s["base"], flip=s["flip_orientation"])
     cmf = standard_observer()
@@ -326,7 +336,7 @@ def _run_fm_path(args: argparse.Namespace) -> int:
         ):
             fh.write(f"{key}: {s[key]}\n")
         fh.write(f"grid_rows: {len(grid)}\n")
-        fh.write(f"segment_samples: {int(round(s['seg_dur'] * s['rate']))}\n")
+        fh.write(f"segment_samples: {seg}\n")
         fh.write(f"total_samples: {len(wave.samples)}\n")
         fh.write(f"duration_sec: {wave.duration_sec:.6f}\n")
         for row in rows:

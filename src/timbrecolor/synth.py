@@ -12,7 +12,11 @@ cosine at integer multiples of a known fundamental over a window holding
 a whole number of periods.  The window length is chosen so the sampled
 sinusoids are as close to discretely orthogonal as the rate allows,
 which keeps leakage between harmonics near float precision whenever
-rate/fundamental is rational with a modest denominator.
+rate/fundamental is rational with a modest denominator.  When the window
+spans exactly P periods in whole samples, harmonic n is DFT bin n*P, so
+one real FFT of the window yields every projection at once; any other
+window (a fundamental incommensurate with the rate) is projected one
+harmonic at a time.
 """
 
 from __future__ import annotations
@@ -110,6 +114,18 @@ def _check_size(total_samples: int) -> None:
         )
 
 
+def _segment_samples(segment_duration_sec: float, sample_rate: int) -> int:
+    rate = _validate_rate(sample_rate)
+    if not (math.isfinite(segment_duration_sec) and segment_duration_sec > 0.0):
+        raise ValueError(
+            f"segment duration must be positive, got {segment_duration_sec!r}"
+        )
+    seg = int(round(segment_duration_sec * rate))
+    if seg < 1:
+        raise ValueError("segment duration shorter than one sample")
+    return seg
+
+
 def render_fm_wave(
     params: FMParams, duration_sec: float, sample_rate: int
 ) -> SampledWave:
@@ -172,13 +188,7 @@ def render_fm_path(
             raise ValueError(f"index grid must ascend, got {a} then {b}")
     if grid[0] < 0.0:
         raise ValueError(f"modulation indices must be >= 0, got {grid[0]}")
-    if not (math.isfinite(segment_duration_sec) and segment_duration_sec > 0.0):
-        raise ValueError(
-            f"segment duration must be positive, got {segment_duration_sec!r}"
-        )
-    seg = int(round(segment_duration_sec * rate))
-    if seg < 1:
-        raise ValueError("segment duration shorter than one sample")
+    seg = _segment_samples(segment_duration_sec, rate)
     _check_size(seg * len(grid))
 
     out = np.empty(seg * len(grid), dtype=np.float64)
@@ -190,18 +200,20 @@ def render_fm_path(
     return SampledWave(sample_rate=rate, samples=out)
 
 
-def _analysis_window(sample_count: int, fundamental_hz: float, rate: int) -> int:
+def _analysis_window(
+    sample_count: int, fundamental_hz: float, rate: int
+) -> tuple[int, int]:
     # Largest whole number of periods that fits, preferring a period count
     # whose span in samples is closest to integral: that restores discrete
     # orthogonality of the projection basis whenever the rate and the
-    # fundamental are commensurable.
+    # fundamental are commensurable.  Returns (length, periods).
     periods_max = int(math.floor(sample_count * fundamental_hz / rate))
     if periods_max < _MIN_ANALYSIS_PERIODS:
         raise ValueError(
             f"wave too short: covers {periods_max} fundamental periods, "
             f"need at least {_MIN_ANALYSIS_PERIODS}"
         )
-    best_length = None
+    best = None
     best_mismatch = math.inf
     lowest = max(_MIN_ANALYSIS_PERIODS, periods_max - 400)
     for periods in range(periods_max, lowest - 1, -1):
@@ -212,11 +224,11 @@ def _analysis_window(sample_count: int, fundamental_hz: float, rate: int) -> int
         mismatch = abs(span - length)
         if mismatch < best_mismatch:
             best_mismatch = mismatch
-            best_length = length
+            best = (length, periods)
             if mismatch < 1e-6:
                 break
-    assert best_length is not None
-    return best_length
+    assert best is not None
+    return best
 
 
 def analyze_harmonics(
@@ -227,6 +239,14 @@ def analyze_harmonics(
     Returns a line spectrum in the form a0 + sum a_n sin(2 pi n f t + phi_n)
     with nonnegative amplitudes, phases in [0, 2*pi), and lines below the
     amplitude floor suppressed; a0 (the window mean) lands in dc_term.
+
+    The window holds P whole periods.  When it spans exactly P * rate / f
+    samples (equal as floats, as for 440 Hz or 220 Hz at 44.1 kHz), one
+    real FFT X of the window gives harmonic n at bin n*P, with sine and
+    cosine projections -2 Im X / L and 2 Re X / L.  Otherwise (261.63 Hz,
+    or 440.0000001 Hz, at 44.1 kHz) the window is projected onto a
+    sampled sine and cosine per harmonic: a bin only near n*P would bias
+    the phase of the top harmonics.
     """
     f0 = float(fundamental_hz)
     rate = wave.sample_rate
@@ -244,15 +264,22 @@ def analyze_harmonics(
             f"harmonic {max_harmonic} at {max_harmonic * f0} Hz reaches "
             f"Nyquist {rate / 2.0} Hz; lower max_harmonic or raise the rate"
         )
-    length = _analysis_window(len(wave.samples), f0, rate)
+    length, periods = _analysis_window(len(wave.samples), f0, rate)
     window = wave.samples[:length]
-    t = np.arange(length, dtype=np.float64) / rate
     dc = float(np.mean(window))
+    if periods * rate / f0 == length:
+        bins = np.fft.rfft(window)[periods : max_harmonic * periods + 1 : periods]
+        in_phases = (-2.0 * bins.imag / length).tolist()
+        quadratures = (2.0 * bins.real / length).tolist()
+    else:
+        t = np.arange(length, dtype=np.float64) / rate
+        in_phases, quadratures = [], []
+        for n in range(1, max_harmonic + 1):
+            angle = _TWO_PI * n * f0 * t
+            in_phases.append(2.0 * float(window @ np.sin(angle)) / length)
+            quadratures.append(2.0 * float(window @ np.cos(angle)) / length)
     lines = []
-    for n in range(1, max_harmonic + 1):
-        angle = _TWO_PI * n * f0 * t
-        in_phase = 2.0 * float(window @ np.sin(angle)) / length
-        quadrature = 2.0 * float(window @ np.cos(angle)) / length
+    for n, (in_phase, quadrature) in enumerate(zip(in_phases, quadratures), start=1):
         amplitude = math.hypot(in_phase, quadrature)
         if amplitude < AMPLITUDE_FLOOR:
             continue

@@ -2,9 +2,10 @@
 
 Everything here is written independently of the library modules: exact
 rational power series for Bessel values, dictionary-based spectrum
-folding, by-hand linear interpolation for color lookups, and an explicit
-piecewise envelope formula.  Tests compare library outputs against these
-slower but transparent routes.
+folding, a sine/cosine projection for harmonic analysis, by-hand linear
+interpolation for color lookups, and an explicit piecewise envelope
+formula.  Tests compare library outputs against these slower but
+transparent routes.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 
 mpmath.mp.dps = 30
 
@@ -83,6 +85,25 @@ def fold_by_dict(
         else:
             acc[f] = acc.get(f, 0.0) + a
     return dict(sorted(acc.items())), dc
+
+
+def harmonic_coefficients(samples, rate: int, frequencies) -> list[complex]:
+    """a*exp(i*phi) of the a*sin(2 pi f t + phi) content of samples, per f.
+
+    Twice the mean of the samples times sin and times cos of 2 pi f j/rate
+    is a*cos(phi) and a*sin(phi) when the samples span whole periods of
+    every f.  The phase in turns, f*j mod rate over rate, is exact for
+    integral f, and math.fsum rounds each sum once.
+    """
+    x = np.asarray(samples, dtype=np.float64)
+    j = np.arange(len(x), dtype=np.float64)
+    out = []
+    for f in frequencies:
+        angle = 2.0 * math.pi * (np.mod(f * j, rate) / rate)
+        sine = 2.0 * math.fsum(x * np.sin(angle)) / len(x)
+        cosine = 2.0 * math.fsum(x * np.cos(angle)) / len(x)
+        out.append(complex(sine, cosine))
+    return out
 
 
 def interp_column(lam: float, wavelengths, column) -> float:

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import adsr_level
+from timbrecolor import cli
 from timbrecolor.cli import _full_span_distance, build_index_grid, main
 from timbrecolor.color import (
     OctaveMap,
@@ -166,6 +167,34 @@ class TestFMPathCommand:
         plain = run_fm_path(tmp_path / "plain")
         flipped = run_fm_path(tmp_path / "flip", "--flip-orientation")
         assert (plain / "p.csv").read_text() != (flipped / "p.csv").read_text()
+
+    @pytest.mark.parametrize(
+        "step, message",
+        [
+            ("0.0005", "size guard: 176404410 samples exceeds cap 100000000"),
+            ("1e-9", "size guard: "),
+            ("1e-320", "has too many points"),
+        ],
+    )
+    def test_oversized_sweep_fails_before_any_color_work(
+        self, tmp_path, monkeypatch, capsys, step, message
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("grid or color rows built for an oversized sweep")
+
+        # a guard that runs late would build 2e10 grid points for 1e-9
+        monkeypatch.setattr(cli, "_fm_path_rows", never)
+        monkeypatch.setattr(cli, "build_index_grid", never)
+        args = [
+            "fm-path",
+            "--i-step", step,
+            "--out-wav", str(tmp_path / "p.wav"),
+            "--out-img", str(tmp_path / "p.ppm"),
+            "--out-csv", str(tmp_path / "p.csv"),
+        ]
+        assert main(args) == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestConfigFile:

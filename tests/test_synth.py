@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import harmonic_coefficients
 from timbrecolor.spectrum import fm_sidebands, fold_spectrum, synthesize
 from timbrecolor.synth import (
     AMPLITUDE_FLOOR,
@@ -19,6 +20,18 @@ from timbrecolor.synth import (
 
 TWO_PI = 2.0 * math.pi
 RATE = 44100
+
+
+def count_rfft_calls(monkeypatch) -> list:
+    calls = []
+    real = np.fft.rfft
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counting)
+    return calls
 
 
 class TestFMSample:
@@ -239,6 +252,40 @@ class TestAnalyzeHarmonics:
             want_phase = 0.0 if line.amplitude > 0.0 else math.pi
             distance = abs(got.phase - want_phase)
             assert min(distance, TWO_PI - distance) < 1e-3
+
+    def test_whole_window_matches_the_projection_oracle(self, monkeypatch):
+        # 1 s holds exactly 440 periods of 440 Hz at 44.1 kHz: the FFT route
+        rng = np.random.default_rng(5)
+        freqs = [440.0 * n for n in range(1, 33)]
+        t = np.arange(RATE, dtype=np.float64) / RATE
+        samples = 0.2 + 1e-4 * rng.standard_normal(RATE)
+        for f in freqs:
+            amp, phase = rng.uniform(0.01, 0.1), rng.uniform(0.0, TWO_PI)
+            samples += amp * np.sin(TWO_PI * f * t + phase)
+        calls = count_rfft_calls(monkeypatch)
+        spec = analyze_harmonics(SampledWave(sample_rate=RATE, samples=samples), 440.0, 32)
+        assert len(calls) == 1
+        assert spec.dc_term == np.mean(samples)
+        assert [line.frequency for line in spec.lines] == freqs
+        want = harmonic_coefficients(samples, RATE, freqs)
+        for line, z in zip(spec.lines, want):
+            assert abs(cmath.rect(line.amplitude, line.phase) - z) <= 1e-11
+
+    @pytest.mark.parametrize("f0", [261.63, 440.0000001])
+    def test_incommensurate_fundamental_is_projected(self, monkeypatch, f0):
+        # no window spans a whole number of periods in whole samples
+        t = np.arange(RATE, dtype=np.float64) / RATE
+        samples = 0.8 * np.sin(TWO_PI * f0 * t + 0.3) + 0.1 * np.sin(
+            TWO_PI * 3.0 * f0 * t + 2.0
+        )
+        calls = count_rfft_calls(monkeypatch)
+        spec = analyze_harmonics(SampledWave(sample_rate=RATE, samples=samples), f0, 4)
+        assert calls == []
+        by_harmonic = {round(line.frequency / f0): line for line in spec.lines}
+        assert by_harmonic[1].amplitude == pytest.approx(0.8, abs=1e-6)
+        assert by_harmonic[1].phase == pytest.approx(0.3, abs=1e-6)
+        assert by_harmonic[3].amplitude == pytest.approx(0.1, abs=1e-6)
+        assert by_harmonic[3].phase == pytest.approx(2.0, abs=1e-6)
 
     def test_floor_suppresses_silence(self):
         t = np.arange(int(RATE * 0.25), dtype=np.float64) / RATE

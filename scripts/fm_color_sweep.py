@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from timbrecolor.cli import _fm_path_rows, _full_span_distance, _srgb_distance
+from timbrecolor.cli import _adjacent_distances, _fm_path_rows, _full_span_distance
 from timbrecolor.color import OctaveMap, standard_observer
 from timbrecolor.ppm import write_ppm
 
@@ -27,11 +27,9 @@ STRIP_HEIGHT = 24
 CELL_WIDTH = 4
 
 
-def strip_image(colors):
-    image = np.zeros((STRIP_HEIGHT, CELL_WIDTH * len(colors), 3), dtype=np.uint8)
-    for n, c in enumerate(colors):
-        image[:, n * CELL_WIDTH : (n + 1) * CELL_WIDTH] = (c.r, c.g, c.b)
-    return image
+def strip_image(rgb):
+    cells = rgb.astype(np.uint8).repeat(CELL_WIDTH, axis=0)
+    return np.repeat(cells[np.newaxis], STRIP_HEIGHT, axis=0)
 
 
 def main() -> int:
@@ -53,16 +51,15 @@ def main() -> int:
     for num, den in RATIOS:
         carrier = args.base
         modulator = args.base * den / num
-        rows = _fm_path_rows(carrier, modulator, grid, octave, cmf)
-        colors = [row.srgb for row in rows]
-        steps = [_srgb_distance(a, b) for a, b in zip(colors, colors[1:])]
+        _xyz, rgb, _orders, _weights = _fm_path_rows(carrier, modulator, grid, octave, cmf)
+        steps = _adjacent_distances(rgb).tolist()
         total, biggest = sum(steps), max(steps, default=0.0)
-        span = _full_span_distance(colors)
+        span = _full_span_distance(rgb)
         label = f"{num}:{den}"
         print(f"{label:>8} {total:12.1f} {biggest:10.2f} {span:8.1f}")
-        write_ppm(out_dir / f"ratio_{num}_{den}.ppm", strip_image(colors))
-        for index, c in zip(grid, colors):
-            csv_lines.append(f"{label},{index:.6f},{c.r},{c.g},{c.b}")
+        write_ppm(out_dir / f"ratio_{num}_{den}.ppm", strip_image(rgb))
+        for index, (r, g, b) in zip(grid, rgb.tolist()):
+            csv_lines.append(f"{label},{index:.6f},{r},{g},{b}")
 
     (out_dir / "sweep_colors.csv").write_text("\n".join(csv_lines) + "\n")
     print(f"wrote {len(RATIOS)} strips and sweep_colors.csv to {out_dir}/")

@@ -30,8 +30,6 @@ import numpy as np
 from .color import (
     ColorMatchingTable,
     OctaveMap,
-    SRGBColor,
-    XYZColor,
     spectrum_to_xyz,
     standard_observer,
     xyz_to_srgb,
@@ -220,70 +218,55 @@ def _csv_open(path: str):
     return open(path, "w", encoding="ascii", newline="\n")
 
 
-@dataclass(frozen=True)
-class PathRow:
-    index: float
-    xyz: XYZColor
-    srgb: SRGBColor
-    sideband_order: int
-    weight_sum: float
-
-
 def _fm_path_rows(
     fc: float,
     fm: float,
     grid: Sequence[float],
     octave: OctaveMap,
     cmf: ColorMatchingTable,
-) -> list[PathRow]:
-    rows = []
-    for index in grid:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(xyz, rgb, orders, weights) of a sweep, one row per grid value: cube
+    XYZ as (n, 3) floats, 8-bit sRGB as (n, 3) int64, the sideband order N
+    and the sum of absolute folded amplitudes of each index.
+    """
+    n = len(grid)
+    xyz, rgb = np.empty((n, 3)), np.empty((n, 3), dtype=np.int64)
+    orders, weights = np.empty(n, dtype=np.int64), np.empty(n)
+    for k, index in enumerate(grid):
         raw = fm_sidebands(fc, fm, index)
         folded = fold_spectrum(raw)
-        xyz = spectrum_to_xyz(folded, octave, cmf)
-        srgb = xyz_to_srgb(xyz)
-        weight = float(np.sum(np.abs(folded.amplitudes())))
-        rows.append(
-            PathRow(
-                index=index,
-                xyz=xyz,
-                srgb=srgb,
-                sideband_order=(len(raw) - 1) // 2,  # raw runs -N..N
-                weight_sum=weight,
-            )
-        )
-    return rows
+        color = spectrum_to_xyz(folded, octave, cmf)
+        srgb = xyz_to_srgb(color)
+        xyz[k] = color.x, color.y, color.z
+        rgb[k] = srgb.r, srgb.g, srgb.b
+        orders[k] = (len(raw) - 1) // 2  # raw runs -N..N
+        weights[k] = np.sum(np.abs(folded.amplitudes))
+    return xyz, rgb, orders, weights
 
 
-def _squares_image(colors: Sequence[SRGBColor]) -> np.ndarray:
-    count = len(colors)
+def _squares_image(rgb: np.ndarray) -> np.ndarray:
+    """One SQUARE_SIZE square per color, SQUARES_PER_ROW to a row, black fill."""
+    count = len(rgb)
     cols = min(SQUARES_PER_ROW, count)
-    rows = (count + SQUARES_PER_ROW - 1) // SQUARES_PER_ROW
-    image = np.zeros((rows * SQUARE_SIZE, cols * SQUARE_SIZE, 3), dtype=np.uint8)
-    for n, c in enumerate(colors):
-        r, col = divmod(n, SQUARES_PER_ROW)
-        image[
-            r * SQUARE_SIZE : (r + 1) * SQUARE_SIZE,
-            col * SQUARE_SIZE : (col + 1) * SQUARE_SIZE,
-        ] = (c.r, c.g, c.b)
-    return image
+    rows = -(-count // SQUARES_PER_ROW)
+    cells = np.zeros((rows * cols, 3), dtype=np.uint8)
+    cells[:count] = rgb
+    return cells.reshape(rows, cols, 3).repeat(SQUARE_SIZE, 0).repeat(SQUARE_SIZE, 1)
 
 
-def _srgb_distance(a: SRGBColor, b: SRGBColor) -> float:
-    return math.sqrt((a.r - b.r) ** 2 + (a.g - b.g) ** 2 + (a.b - b.b) ** 2)
+def _adjacent_distances(rgb: np.ndarray) -> np.ndarray:
+    """sRGB distance from each color to the next, in path order."""
+    return np.sqrt(np.sum(np.diff(rgb, axis=0) ** 2, axis=1))
 
 
-def _full_span_distance(colors: Sequence[SRGBColor]) -> float:
+def _full_span_distance(rgb: np.ndarray) -> float:
     """Largest sRGB distance between any two of the colors, exactly.
 
     Compares distinct colors one row of integer differences at a time, so
     memory stays linear; sqrt is monotone, so one sqrt of the largest
     squared distance equals the largest pairwise distance.
     """
-    points = np.unique(
-        np.array([(c.r, c.g, c.b) for c in colors], dtype=np.int64).reshape(-1, 3),
-        axis=0,
-    )
+    points = np.unique(np.asarray(rgb, dtype=np.int64).reshape(-1, 3), axis=0)
     widest = 0
     for i in range(len(points) - 1):
         squares = np.sum((points[i + 1 :] - points[i]) ** 2, axis=1)
@@ -299,26 +282,20 @@ def _run_fm_path(args: argparse.Namespace) -> int:
     grid = build_index_grid(s["i_start"], s["i_end"], s["i_step"])
     octave = OctaveMap(base_hz=s["base"], flip=s["flip_orientation"])
     cmf = standard_observer()
-    rows = _fm_path_rows(s["fc"], s["fm"], grid, octave, cmf)
+    xyz, rgb, orders, weights = _fm_path_rows(s["fc"], s["fm"], grid, octave, cmf)
 
     wave = render_fm_path(s["fc"], s["fm"], grid, s["seg_dur"], s["rate"])
     write_wav(wave, s["out_wav"])
 
     with _csv_open(s["out_csv"]) as fh:
         fh.write("I,X,Y,Z,R,G,B\n")
-        for row in rows:
-            fh.write(
-                f"{row.index:.6f},{row.xyz.x:.6f},{row.xyz.y:.6f},"
-                f"{row.xyz.z:.6f},{row.srgb.r},{row.srgb.g},{row.srgb.b}\n"
-            )
+        for index, (x, y, z), (r, g, b) in zip(grid, xyz.tolist(), rgb.tolist()):
+            fh.write(f"{index:.6f},{x:.6f},{y:.6f},{z:.6f},{r},{g},{b}\n")
 
-    write_ppm(s["out_img"], _squares_image([row.srgb for row in rows]))
+    write_ppm(s["out_img"], _squares_image(rgb))
 
-    colors = [row.srgb for row in rows]
-    max_adjacent = max(
-        (_srgb_distance(a, b) for a, b in zip(colors, colors[1:])), default=0.0
-    )
-    span = _full_span_distance(colors)
+    max_adjacent = float(np.max(_adjacent_distances(rgb), initial=0.0))
+    span = _full_span_distance(rgb)
 
     log_path = s["out_log"] or str(Path(s["out_csv"]).with_suffix(".log"))
     with _csv_open(log_path) as fh:
@@ -339,11 +316,8 @@ def _run_fm_path(args: argparse.Namespace) -> int:
         fh.write(f"segment_samples: {seg}\n")
         fh.write(f"total_samples: {len(wave.samples)}\n")
         fh.write(f"duration_sec: {wave.duration_sec:.6f}\n")
-        for row in rows:
-            fh.write(
-                f"I={row.index:.6f} N={row.sideband_order} "
-                f"weight_sum={row.weight_sum:.9f}\n"
-            )
+        for index, order, weight in zip(grid, orders.tolist(), weights.tolist()):
+            fh.write(f"I={index:.6f} N={order} weight_sum={weight:.9f}\n")
         fh.write(f"max_adjacent_srgb_distance: {max_adjacent:.6f}\n")
         fh.write(f"full_span_srgb_distance: {span:.6f}\n")
 

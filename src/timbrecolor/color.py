@@ -17,6 +17,7 @@ from functools import lru_cache
 from importlib import resources
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .spectrum import LineSpectrum
 
@@ -183,6 +184,14 @@ def standard_observer() -> ColorMatchingTable:
     return load_cmf(text)
 
 
+def _cmf_rows(wavelengths_nm: np.ndarray, cmf: ColorMatchingTable) -> np.ndarray:
+    """(n, 3) linearly interpolated (xbar, ybar, zbar), one row per wavelength."""
+    columns = (cmf.xbar, cmf.ybar, cmf.zbar)
+    return np.stack(
+        [np.interp(wavelengths_nm, cmf.wavelengths, col) for col in columns], axis=1
+    )
+
+
 def wavelength_to_xyz(wavelength_nm: float, cmf: ColorMatchingTable) -> XYZColor:
     """Linearly interpolated (xbar, ybar, zbar) at the given wavelength."""
     lam = float(wavelength_nm)
@@ -191,48 +200,50 @@ def wavelength_to_xyz(wavelength_nm: float, cmf: ColorMatchingTable) -> XYZColor
             f"wavelength {lam} nm outside table range "
             f"[{VISIBLE_MIN_NM}, {VISIBLE_MAX_NM}]"
         )
-    return XYZColor(
-        x=float(np.interp(lam, cmf.wavelengths, cmf.xbar)),
-        y=float(np.interp(lam, cmf.wavelengths, cmf.ybar)),
-        z=float(np.interp(lam, cmf.wavelengths, cmf.zbar)),
-    )
+    return XYZColor(*_cmf_rows(np.array([lam]), cmf)[0].tolist())
 
 
-def octave_reduce(frequency_hz: float, octave: OctaveMap) -> float:
-    """Scale by powers of two into [base, 2*base).
+def octave_reduce(frequency_hz: ArrayLike, octave: OctaveMap) -> float | np.ndarray:
+    """Scale by powers of two into [base, 2*base), elementwise.
 
-    Doubling and halving are exact in binary floating point, so
+    A scalar gives a float, an array an array of the same shape.  Each
+    input is rescaled to the binary exponent of the base with ldexp,
+    which is exact, then doubled once if it fell below the base; the
+    result equals repeated halving or doubling bit for bit, so
     octave_reduce(2*g) == octave_reduce(g) holds exactly.  The interval
     is half open: an input at exactly 2*base reduces to the base.
     """
-    g = float(frequency_hz)
-    if not math.isfinite(g) or g <= 0.0:
-        raise ValueError(f"frequency must be positive, got {frequency_hz!r}")
+    g = np.asarray(frequency_hz, dtype=np.float64)
+    bad = ~(np.isfinite(g) & (g > 0.0))
+    if bad.any():
+        raise ValueError(f"frequency must be positive, got {g[bad][0].item()!r}")
     base = octave.base_hz
-    while g >= 2.0 * base:
-        g *= 0.5
-    while g < base:
-        g *= 2.0
-    return g
+    # g * 2**k shares base's exponent, so it lies in [base/2, 2*base)
+    scaled = np.ldexp(g, math.frexp(base)[1] - np.frexp(g)[1])
+    reduced = np.where(scaled < base, 2.0 * scaled, scaled)
+    return float(reduced) if np.ndim(frequency_hz) == 0 else reduced
 
 
-def freq_to_wavelength(frequency_hz: float, octave: OctaveMap) -> float:
-    """Map a frequency already inside [base, 2*base] to nanometers.
+def freq_to_wavelength(frequency_hz: ArrayLike, octave: OctaveMap) -> float | np.ndarray:
+    """Map frequencies already inside [base, 2*base] to nanometers.
 
     The base maps to 760 nm and twice the base to 380 nm, both exactly;
     in between the map is 760 * base / g, decreasing, so rising pitch
-    moves red to violet.  With flip set the assignment reverses.
+    moves red to violet.  With flip set the assignment reverses.  Works
+    elementwise; a scalar gives a float.
     """
-    g = float(frequency_hz)
+    g = np.asarray(frequency_hz, dtype=np.float64)
     base = octave.base_hz
-    if not (base <= g <= 2.0 * base):
+    inside = (base <= g) & (g <= 2.0 * base)
+    if not inside.all():
         raise ValueError(
-            f"frequency {g} Hz outside the octave [{base}, {2.0 * base}]"
+            f"frequency {g[~inside][0].item()} Hz outside the octave "
+            f"[{base}, {2.0 * base}]"
         )
     lam = OCTAVE_TOP_NM * (base / g)
     if octave.flip:
         lam = (VISIBLE_MIN_NM + OCTAVE_TOP_NM) - lam
-    return lam
+    return float(lam) if np.ndim(frequency_hz) == 0 else lam
 
 
 def spectrum_xyz_raw(
@@ -244,25 +255,22 @@ def spectrum_xyz_raw(
 
     Weights are absolute amplitudes: a line's sign is a phase flip and
     phase carries no color.  The DC term is excluded; it is silent.
+    All lines are reduced, mapped and interpolated in one array pass;
+    the weights and weighted rows are summed in line order, one running
+    sum each, exactly as a loop over the lines would add them.
     Raises DegenerateSpectrumError when the total weight is zero, which
     covers empty spectra, all-zero amplitudes, and pure-DC content.
     """
-    total = 0.0
-    acc = np.zeros(3)
-    for line in spectrum.lines:
-        weight = abs(line.amplitude)
-        if weight == 0.0:
-            continue
-        reduced = octave_reduce(line.frequency, octave)
-        xyz = wavelength_to_xyz(freq_to_wavelength(reduced, octave), cmf)
-        acc += weight * xyz.as_array()
-        total += weight
-    if total == 0.0:
+    nonzero = spectrum.amplitudes != 0.0
+    if not nonzero.any():
         raise DegenerateSpectrumError(
             "spectrum has no nonzero-amplitude lines to color"
         )
-    acc /= total
-    return XYZColor(x=float(acc[0]), y=float(acc[1]), z=float(acc[2]))
+    weights = np.abs(spectrum.amplitudes[nonzero])
+    reduced = octave_reduce(spectrum.frequencies[nonzero], octave)
+    rows = _cmf_rows(freq_to_wavelength(reduced, octave), cmf)
+    acc = np.cumsum(weights[:, None] * rows, axis=0)[-1]
+    return XYZColor(*(acc / np.cumsum(weights)[-1]).tolist())
 
 
 def spectrum_to_xyz(

@@ -11,7 +11,7 @@ that collide and routing frequency zero into a DC bookkeeping slot.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -52,38 +52,58 @@ class SpectralLine:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LineSpectrum:
-    """Folded spectrum: lines at strictly increasing positive frequencies.
+    """Folded spectrum as parallel read-only float64 arrays, one entry per
+    line amplitudes[k] * sin(2*pi*frequencies[k]*t + phases[k]), at strictly
+    increasing positive frequencies; phases default to zeros.
 
     dc_term records any amplitude that folded onto frequency zero.  In the
     sine convention that component contributes nothing to the waveform,
     but analysis (where it is the signal mean) and resynthesis need it.
     """
 
-    lines: tuple[SpectralLine, ...]
+    frequencies: np.ndarray
+    amplitudes: np.ndarray
+    phases: np.ndarray | None = None
     dc_term: float = 0.0
 
     def __post_init__(self) -> None:
-        freqs = [line.frequency for line in self.lines]
-        for a, b in zip(freqs, freqs[1:]):
-            if not b > a:
-                raise ValueError(
-                    f"line frequencies must be strictly increasing, got {a} then {b}"
-                )
-        if freqs and freqs[0] <= 0.0:
+        if self.phases is None:
+            object.__setattr__(self, "phases", np.zeros(np.shape(self.frequencies)))
+        for name in ("frequencies", "amplitudes", "phases"):
+            arr = np.array(getattr(self, name), dtype=np.float64)
+            if arr.ndim != 1:
+                raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        f, a, p = self.frequencies, self.amplitudes, self.phases
+        if not len(f) == len(a) == len(p):
+            raise ValueError(f"line array lengths differ: {len(f)}, {len(a)}, {len(p)}")
+        for what, values, ok in (
+            ("frequency must be finite and >= 0", f, np.isfinite(f) & (f >= 0.0)),
+            ("amplitude must be finite", a, np.isfinite(a)),
+            ("phase must lie in [0, 2*pi)", p, (p >= 0.0) & (p < _TWO_PI)),
+        ):
+            if not ok.all():
+                raise ValueError(f"line {what}, got {values[~ok][0].item()!r}")
+        rising = f[1:] > f[:-1]
+        if not rising.all():
+            k = int(np.argmin(rising))
+            raise ValueError(
+                "line frequencies must be strictly increasing, "
+                f"got {f[k]} then {f[k + 1]}"
+            )
+        if len(f) and f[0] <= 0.0:
             raise ValueError("folded lines must have positive frequency")
         if not math.isfinite(self.dc_term):
             raise ValueError(f"dc term must be finite, got {self.dc_term!r}")
 
-    def frequencies(self) -> np.ndarray:
-        return np.array([line.frequency for line in self.lines], dtype=np.float64)
-
-    def amplitudes(self) -> np.ndarray:
-        return np.array([line.amplitude for line in self.lines], dtype=np.float64)
-
-    def phases(self) -> np.ndarray:
-        return np.array([line.phase for line in self.lines], dtype=np.float64)
+    @property
+    def lines(self) -> tuple[SpectralLine, ...]:
+        """SpectralLine views of the arrays, in frequency order."""
+        rows = np.column_stack((self.frequencies, self.amplitudes, self.phases)).tolist()
+        return tuple(SpectralLine(*row) for row in rows)
 
 
 def fm_sidebands(
@@ -117,33 +137,36 @@ def fm_sidebands(
 def fold_spectrum(raw: Iterable[tuple[float, float]]) -> LineSpectrum:
     """Fold a raw two-sided line list onto nonnegative frequencies.
 
-    A line at negative frequency -g with amplitude a becomes (g, -a);
-    lines within MERGE_TOLERANCE_HZ of each other merge by summing
-    amplitudes; anything at frequency zero accumulates into dc_term.
-    The waveform is unchanged: this is an identity on the signal.
+    A line at negative frequency -g with amplitude a becomes (g, -a).
+    The flipped lines are stably sorted by frequency, so equal
+    frequencies keep their input order and amplitudes add in that order.
+    Anything within MERGE_TOLERANCE_HZ of zero (-0.0 included)
+    accumulates into dc_term.  A line joins the open group when it lies
+    within MERGE_TOLERANCE_HZ of the group's first frequency; the group
+    keeps that frequency and the sum of its amplitudes.  The waveform is
+    unchanged: this is an identity on the signal.
     """
-    flipped: list[tuple[float, float]] = []
-    for freq, amp in raw:
-        f = float(freq)
-        a = float(amp)
-        if not math.isfinite(f) or not math.isfinite(a):
-            raise ValueError(f"raw line ({freq!r}, {amp!r}) is not finite")
-        if f < 0.0:
-            f, a = -f, -a
-        flipped.append((f, a))
-    flipped.sort(key=lambda fa: fa[0])
+    pairs = np.array(list(raw), dtype=np.float64)
+    if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
+        raise ValueError(f"expected (frequency, amplitude) pairs, got shape {pairs.shape}")
+    bad = ~np.isfinite(pairs).all(axis=-1)
+    if bad.any():
+        raise ValueError(f"raw line {tuple(pairs[bad][0].tolist())} is not finite")
+    freqs, amps = pairs.reshape(-1, 2).T
+    amps = np.where(freqs < 0.0, -amps, amps)
+    freqs = np.abs(freqs)
+    order = np.argsort(freqs, kind="stable")
 
     dc = 0.0
     merged: list[tuple[float, float]] = []
-    for f, a in flipped:
+    for f, a in zip(freqs[order].tolist(), amps[order].tolist()):
         if f <= MERGE_TOLERANCE_HZ:
             dc += a
         elif merged and f - merged[-1][0] <= MERGE_TOLERANCE_HZ:
             merged[-1] = (merged[-1][0], merged[-1][1] + a)
         else:
             merged.append((f, a))
-    lines = tuple(SpectralLine(frequency=f, amplitude=a) for f, a in merged)
-    return LineSpectrum(lines=lines, dc_term=dc)
+    return LineSpectrum(*np.array(merged).reshape(-1, 2).T, dc_term=dc)
 
 
 def synthesize(
@@ -159,10 +182,8 @@ def synthesize(
     """
     times = np.asarray(t, dtype=np.float64)
     out = np.zeros_like(times)
-    for line in spectrum.lines:
-        out += line.amplitude * np.sin(
-            _TWO_PI * line.frequency * times + line.phase
-        )
+    for f, a, p in zip(spectrum.frequencies, spectrum.amplitudes, spectrum.phases):
+        out += a * np.sin(_TWO_PI * f * times + p)
     if include_dc:
         out += spectrum.dc_term
     return out

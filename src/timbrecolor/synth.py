@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import DEFAULT_TAIL_TOLERANCE, energy_order
-from .spectrum import LineSpectrum, SpectralLine
+from .spectrum import LineSpectrum
 
 __all__ = [
     "AMPLITUDE_FLOOR",
@@ -147,11 +147,7 @@ def render_fm_wave(
             f"aliasing guard: sideband at {top} Hz (order {n_side}) reaches "
             f"Nyquist {rate / 2.0} Hz"
         )
-    t = np.arange(count, dtype=np.float64) / rate
-    samples = np.sin(
-        _TWO_PI * params.carrier_hz * t
-        + params.modulation_index * np.sin(_TWO_PI * params.modulator_hz * t)
-    )
+    samples = fm_sample(params, np.arange(count, dtype=np.float64) / rate)
     peak = float(np.max(np.abs(samples))) if count else 0.0
     if peak > 1.0:
         samples = samples / peak
@@ -194,9 +190,7 @@ def render_fm_path(
     out = np.empty(seg * len(grid), dtype=np.float64)
     for j, index in enumerate(grid):
         t = np.arange(j * seg, (j + 1) * seg, dtype=np.float64) / rate
-        out[j * seg : (j + 1) * seg] = np.sin(
-            _TWO_PI * fc * t + index * np.sin(_TWO_PI * fm * t)
-        )
+        out[j * seg : (j + 1) * seg] = fm_sample(FMParams(fc, fm, index), t)
     return SampledWave(sample_rate=rate, samples=out)
 
 
@@ -278,7 +272,7 @@ def analyze_harmonics(
             angle = _TWO_PI * n * f0 * t
             in_phases.append(2.0 * float(window @ np.sin(angle)) / length)
             quadratures.append(2.0 * float(window @ np.cos(angle)) / length)
-    lines = []
+    lines = []  # math.hypot/atan2 per harmonic: numpy's differ in the last ulp
     for n, (in_phase, quadrature) in enumerate(zip(in_phases, quadratures), start=1):
         amplitude = math.hypot(in_phase, quadrature)
         if amplitude < AMPLITUDE_FLOOR:
@@ -286,7 +280,6 @@ def analyze_harmonics(
         phase = math.atan2(quadrature, in_phase) % _TWO_PI
         if phase > _TWO_PI - 1e-6:  # tiny negative angles wrap to just below 2*pi
             phase = 0.0
-        lines.append(
-            SpectralLine(frequency=n * f0, amplitude=amplitude, phase=phase)
-        )
-    return LineSpectrum(lines=tuple(lines), dc_term=dc)
+        lines.append((n * f0, amplitude, phase))
+    freqs, amplitudes, phases = np.array(lines, dtype=np.float64).reshape(-1, 3).T
+    return LineSpectrum(freqs, amplitudes, phases, dc_term=dc)

@@ -118,6 +118,15 @@ def interp_column(lam: float, wavelengths, column) -> float:
     return float(column[i] * (1.0 - frac) + column[i + 1] * frac)
 
 
+def octave_loop(g: float, base: float) -> float:
+    """Reduce g into [base, 2*base) one exact halving or doubling at a time."""
+    while g >= 2.0 * base:
+        g *= 0.5
+    while g < base:
+        g *= 2.0
+    return g
+
+
 def reduce_frequency(g: float, base: float) -> float:
     """Power-of-two reduction into [base, 2*base), via a log2 first guess."""
     k = math.floor(math.log2(g / base))

@@ -157,9 +157,7 @@ def test_c4_analysis_recovers_the_folded_spectrum():
 def test_c5_flat_comb_sits_at_the_white_point():
     table = standard_observer()
     freqs = sorted(760.0 * 440.0 / lam for lam in table.wavelengths)
-    spec = LineSpectrum(
-        lines=tuple(SpectralLine(frequency=f, amplitude=1.0) for f in freqs)
-    )
+    spec = LineSpectrum(freqs, np.ones(len(freqs)))
     x, y = chromaticity(spectrum_xyz_raw(spec, OctaveMap(), table))
     deviation = max(abs(x - 1.0 / 3.0), abs(y - 1.0 / 3.0))
     ok = deviation < 0.02

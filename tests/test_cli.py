@@ -13,10 +13,17 @@ from hypothesis import strategies as st
 
 from oracles import adsr_level
 from timbrecolor import cli
-from timbrecolor.cli import _full_span_distance, build_index_grid, main
+from timbrecolor.cli import (
+    SQUARE_SIZE,
+    SQUARES_PER_ROW,
+    _adjacent_distances,
+    _full_span_distance,
+    _squares_image,
+    build_index_grid,
+    main,
+)
 from timbrecolor.color import (
     OctaveMap,
-    SRGBColor,
     spectrum_to_xyz,
     standard_observer,
     xyz_to_srgb,
@@ -77,23 +84,55 @@ class TestIndexGrid:
         assert last + step > end
 
 
+RGB_LISTS = st.lists(
+    st.tuples(*[st.integers(min_value=0, max_value=255)] * 3), min_size=1, max_size=40
+)
+
+
 class TestFullSpanDistance:
     @settings(max_examples=100, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(*[st.integers(min_value=0, max_value=255)] * 3),
-            min_size=1,
-            max_size=40,
-        )
-    )
+    @given(RGB_LISTS)
     def test_matches_bruteforce_pairwise_distance(self, triples):
-        colors = [SRGBColor(r, g, b) for r, g, b in triples]
         brute = max(
             math.sqrt(sum((u - v) ** 2 for u, v in zip(a, b)))
             for a in triples
             for b in triples
         )
-        assert _full_span_distance(colors) == brute
+        assert _full_span_distance(np.array(triples, dtype=np.int64)) == brute
+
+
+class TestAdjacentDistances:
+    @settings(max_examples=100, deadline=None)
+    @given(RGB_LISTS)
+    def test_matches_bruteforce_consecutive_pairs(self, triples):
+        brute = [
+            math.sqrt(sum((u - v) ** 2 for u, v in zip(a, b)))
+            for a, b in zip(triples, triples[1:])
+        ]
+        got = _adjacent_distances(np.array(triples, dtype=np.int64))
+        assert got.tolist() == brute
+        assert float(np.max(got, initial=0.0)) == max(brute, default=0.0)
+
+    def test_single_color_has_no_steps(self):
+        got = _adjacent_distances(np.array([[10, 20, 30]], dtype=np.int64))
+        assert got.shape == (0,)
+        assert float(np.max(got, initial=0.0)) == 0.0
+
+
+class TestSquaresImage:
+    @pytest.mark.parametrize("count", [1, 5, 16, 17, 40])
+    def test_matches_square_by_square_painting(self, count):
+        rgb = np.random.default_rng(count).integers(0, 256, (count, 3))
+        cols = min(SQUARES_PER_ROW, count)
+        rows = -(-count // SQUARES_PER_ROW)
+        want = np.zeros((rows * SQUARE_SIZE, cols * SQUARE_SIZE, 3), dtype=np.uint8)
+        for n, color in enumerate(rgb):
+            r, c = divmod(n, SQUARES_PER_ROW)
+            rows_px = slice(r * SQUARE_SIZE, (r + 1) * SQUARE_SIZE)
+            want[rows_px, c * SQUARE_SIZE : (c + 1) * SQUARE_SIZE] = color
+        got = _squares_image(rgb)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, want)
 
 
 class TestFMPathCommand:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import weighted_spectrum_xyz
+from oracles import octave_loop, weighted_spectrum_xyz
 from timbrecolor.color import (
     OCTAVE_TOP_NM,
     VISIBLE_MAX_NM,
@@ -28,7 +28,29 @@ from timbrecolor.color import (
     wavelength_to_xyz,
     xyz_to_srgb,
 )
-from timbrecolor.spectrum import LineSpectrum, SpectralLine
+from timbrecolor.spectrum import LineSpectrum, fm_sidebands, fold_spectrum
+
+
+ARRAY_BASES = [20.0, 261.63, 440.0, 333.3333, 20000.0]
+
+
+@pytest.fixture(scope="module")
+def octave_inputs() -> np.ndarray:
+    """Sweep lines, octave edges, extremes and random magnitudes."""
+    values = [5e-324, 2.2250738585072014e-308, 1.7e308, np.finfo(float).max]
+    # every folded line of the 2001-index fine sweep (fc 440, fm 880) and of
+    # an incommensurate one
+    for fc, fm, indices in ((440.0, 880.0, 0.0037 + 0.01 * np.arange(2001)),
+                            (100.0, 137.3, np.arange(0.0, 100.0, 0.5))):
+        for index in indices:
+            values.extend(fold_spectrum(fm_sidebands(fc, fm, index)).frequencies)
+    for base in ARRAY_BASES:
+        for edge in (base, 2.0 * base, 4.0 * base, 0.5 * base):
+            values += [edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf)]
+    rng = np.random.default_rng(2024)
+    values.extend(10.0 ** rng.uniform(-3.0, 6.0, 3000))
+    values.extend(10.0 ** rng.uniform(-300.0, 300.0, 300))
+    return np.unique(np.array(values, dtype=np.float64))
 
 
 def synthetic_table_text(rows=81) -> str:
@@ -40,11 +62,10 @@ def synthetic_table_text(rows=81) -> str:
 
 
 def spectrum_of(pairs, dc=0.0) -> LineSpectrum:
-    lines = tuple(
-        SpectralLine(frequency=f, amplitude=a)
-        for f, a in sorted(pairs, key=lambda fa: fa[0])
+    ordered = sorted(pairs, key=lambda fa: fa[0])
+    return LineSpectrum(
+        [f for f, _ in ordered], [a for _, a in ordered], dc_term=dc
     )
-    return LineSpectrum(lines=lines, dc_term=dc)
 
 
 class TestLoadCMF:
@@ -160,6 +181,25 @@ class TestOctaveReduce:
         octave = OctaveMap()
         assert octave_reduce(2.0 * g, octave) == octave_reduce(g, octave)
 
+    @pytest.mark.parametrize("base", ARRAY_BASES)
+    def test_array_matches_the_halving_loop_bit_for_bit(self, base, octave_inputs):
+        inputs = octave_inputs
+        got = octave_reduce(inputs, OctaveMap(base_hz=base))
+        want = np.array([octave_loop(g, base) for g in inputs.tolist()])
+        assert got.shape == inputs.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_scalar_gives_a_python_float(self):
+        octave = OctaveMap()
+        assert type(octave_reduce(330.0, octave)) is float
+        assert type(octave_reduce(np.float64(330.0), octave)) is float
+        assert type(octave_reduce(3, octave)) is float
+
+    @pytest.mark.parametrize("bad", [0.0, -440.0, math.nan, math.inf])
+    def test_a_bad_element_in_an_array_raises(self, bad):
+        with pytest.raises(ValueError, match="positive"):
+            octave_reduce(np.array([440.0, bad, 660.0]), OctaveMap())
+
 
 class TestFreqToWavelength:
     def test_exact_endpoints(self):
@@ -188,6 +228,25 @@ class TestFreqToWavelength:
             freq_to_wavelength(439.0, octave)
         with pytest.raises(ValueError):
             freq_to_wavelength(881.0, octave)
+
+    @pytest.mark.parametrize("flip", [False, True])
+    @pytest.mark.parametrize("base", ARRAY_BASES)
+    def test_array_equals_the_scalar_results(self, base, flip, octave_inputs):
+        octave = OctaveMap(base_hz=base, flip=flip)
+        reduced = octave_reduce(octave_inputs, octave)
+        got = freq_to_wavelength(reduced, octave)
+        want = np.array([freq_to_wavelength(g, octave) for g in reduced.tolist()])
+        assert got.tobytes() == want.tobytes()
+
+    def test_scalar_gives_a_python_float(self):
+        assert type(freq_to_wavelength(660.0, OctaveMap())) is float
+        assert type(freq_to_wavelength(np.float64(660.0), OctaveMap())) is float
+
+    def test_a_bad_element_in_an_array_raises(self):
+        with pytest.raises(ValueError, match="outside the octave"):
+            freq_to_wavelength(np.array([440.0, 881.0]), OctaveMap())
+        with pytest.raises(ValueError, match="outside the octave"):
+            freq_to_wavelength(np.array([math.nan]), OctaveMap())
 
     def test_base_validation(self):
         with pytest.raises(ValueError):
@@ -276,11 +335,35 @@ class TestSpectrumColor:
         table = standard_observer()
         octave = OctaveMap()
         with pytest.raises(DegenerateSpectrumError):
-            spectrum_xyz_raw(LineSpectrum(lines=()), octave, table)
+            spectrum_xyz_raw(LineSpectrum([], []), octave, table)
         with pytest.raises(DegenerateSpectrumError):
-            spectrum_xyz_raw(LineSpectrum(lines=(), dc_term=0.5), octave, table)
+            spectrum_xyz_raw(LineSpectrum([], [], dc_term=0.5), octave, table)
         with pytest.raises(DegenerateSpectrumError):
             spectrum_xyz_raw(spectrum_of([(440.0, 0.0)]), octave, table)
+
+    @pytest.mark.parametrize(
+        "fc, fm, base, flip",
+        [
+            (440.0, 880.0, 440.0, False),
+            (100.0, 137.3, 261.63, True),
+            (1000.0, 250.0, 20.0, False),
+        ],
+    )
+    def test_equals_the_per_line_loop_exactly(self, fc, fm, base, flip):
+        # the one-pass sums run in line order, so they match a loop over
+        # the lines built from the scalar functions bit for bit
+        table = standard_observer()
+        octave = OctaveMap(base_hz=base, flip=flip)
+        for index in np.arange(0.0, 20.0, 0.37):
+            spec = fold_spectrum(fm_sidebands(fc, fm, index))
+            total, acc = 0.0, np.zeros(3)
+            for line in spec.lines:
+                if line.amplitude == 0.0:
+                    continue
+                lam = freq_to_wavelength(octave_reduce(line.frequency, octave), octave)
+                acc += abs(line.amplitude) * wavelength_to_xyz(lam, table).as_array()
+                total += abs(line.amplitude)
+            assert spectrum_xyz_raw(spec, octave, table) == XYZColor(*(acc / total))
 
     def test_spectrum_to_xyz_projects(self):
         table = standard_observer()

@@ -46,41 +46,55 @@ class TestSpectralLine:
 class TestLineSpectrum:
     def test_rejects_unsorted_lines(self):
         with pytest.raises(ValueError):
-            LineSpectrum(
-                lines=(
-                    SpectralLine(frequency=200.0, amplitude=1.0),
-                    SpectralLine(frequency=100.0, amplitude=1.0),
-                )
-            )
+            LineSpectrum([200.0, 100.0], [1.0, 1.0])
 
     def test_rejects_duplicate_frequencies(self):
         with pytest.raises(ValueError):
-            LineSpectrum(
-                lines=(
-                    SpectralLine(frequency=100.0, amplitude=1.0),
-                    SpectralLine(frequency=100.0, amplitude=0.5),
-                )
-            )
+            LineSpectrum([100.0, 100.0], [1.0, 0.5])
 
     def test_rejects_zero_frequency_line(self):
         with pytest.raises(ValueError):
-            LineSpectrum(lines=(SpectralLine(frequency=0.0, amplitude=1.0),))
+            LineSpectrum([0.0], [1.0])
 
     def test_rejects_nonfinite_dc(self):
         with pytest.raises(ValueError):
-            LineSpectrum(lines=(), dc_term=math.nan)
+            LineSpectrum([], [], dc_term=math.nan)
+
+    @pytest.mark.parametrize(
+        "freqs, amps, phases",
+        [
+            ([100.0, 200.0], [1.0], None),
+            ([100.0], [1.0], [0.0, 0.0]),
+            ([[100.0, 200.0]], [[1.0, 1.0]], None),
+            ([100.0], [math.nan], None),
+            ([100.0], [1.0], [TWO_PI]),
+            ([-100.0], [1.0], None),
+        ],
+    )
+    def test_rejects_malformed_arrays(self, freqs, amps, phases):
+        with pytest.raises(ValueError):
+            LineSpectrum(freqs, amps, phases)
+
+    def test_phases_default_to_zero_and_arrays_are_read_only(self):
+        spec = LineSpectrum([100.0, 300.0], [0.25, -0.5])
+        assert spec.phases.dtype == np.float64
+        assert np.array_equal(spec.phases, [0.0, 0.0])
+        with pytest.raises(ValueError):
+            spec.amplitudes[0] = 1.0
+
+    def test_lines_are_views_of_the_arrays(self):
+        spec = LineSpectrum([100.0, 300.0], [0.25, -0.5], [1.0, 0.0])
+        assert spec.lines == (
+            SpectralLine(frequency=100.0, amplitude=0.25, phase=1.0),
+            SpectralLine(frequency=300.0, amplitude=-0.5, phase=0.0),
+        )
+        assert all(type(line.frequency) is float for line in spec.lines)
 
     def test_array_views(self):
-        spec = LineSpectrum(
-            lines=(
-                SpectralLine(frequency=100.0, amplitude=0.25, phase=1.0),
-                SpectralLine(frequency=300.0, amplitude=-0.5),
-            ),
-            dc_term=0.1,
-        )
-        assert np.array_equal(spec.frequencies(), [100.0, 300.0])
-        assert np.array_equal(spec.amplitudes(), [0.25, -0.5])
-        assert np.array_equal(spec.phases(), [1.0, 0.0])
+        spec = LineSpectrum([100.0, 300.0], [0.25, -0.5], [1.0, 0.0], dc_term=0.1)
+        assert np.array_equal(spec.frequencies, [100.0, 300.0])
+        assert np.array_equal(spec.amplitudes, [0.25, -0.5])
+        assert np.array_equal(spec.phases, [1.0, 0.0])
 
 
 class TestFMSidebands:
@@ -158,6 +172,41 @@ class TestFoldSpectrum:
         assert len(folded.lines) == 1
         assert folded.lines[0].amplitude == 0.75
 
+    def test_merge_groups_keep_their_first_frequency(self):
+        # the third line is within tolerance of the second but not of the
+        # group's first, so the chain stops there
+        folded = fold_spectrum(
+            [(1000.0, 0.25), (1000.0 + 0.6e-9, 0.5), (1000.0 + 1.2e-9, 0.125)]
+        )
+        assert folded.frequencies.tolist() == [1000.0, 1000.0 + 1.2e-9]
+        assert folded.amplitudes.tolist() == [0.75, 0.125]
+
+    def test_equal_frequencies_add_in_input_order(self):
+        # 0.1 + 0.2 + 0.3 != 0.3 + 0.2 + 0.1 in floating point
+        folded = fold_spectrum([(500.0, 0.1), (-500.0, -0.2), (500.0, 0.3)])
+        assert folded.amplitudes.tolist() == [0.1 + 0.2 + 0.3]
+
+    def test_all_negative_raw_list_folds(self):
+        folded = fold_spectrum([(-300.0, 0.5), (-100.0, -0.25)])
+        assert folded.frequencies.tolist() == [100.0, 300.0]
+        assert folded.amplitudes.tolist() == [0.25, -0.5]
+        assert folded.dc_term == 0.0
+
+    def test_negative_zero_routes_to_dc_unflipped(self):
+        folded = fold_spectrum([(-0.0, 0.4), (200.0, 1.0)])
+        assert folded.dc_term == 0.4
+        assert folded.frequencies.tolist() == [200.0]
+
+    def test_empty_raw_list_is_an_empty_spectrum(self):
+        folded = fold_spectrum([])
+        assert len(folded.lines) == 0 and folded.dc_term == 0.0
+
+    def test_rejects_entries_that_are_not_pairs(self):
+        with pytest.raises(ValueError):
+            fold_spectrum([(1.0, 2.0, 3.0)])
+        with pytest.raises(ValueError):
+            fold_spectrum([1.0, 2.0])
+
     def test_nearby_lines_stay_separate(self):
         folded = fold_spectrum([(1000.0, 0.25), (1000.1, 0.5)])
         assert len(folded.lines) == 2
@@ -198,10 +247,7 @@ class TestFoldSpectrum:
 
 class TestSynthesize:
     def test_single_line_formula(self):
-        spec = LineSpectrum(
-            lines=(SpectralLine(frequency=100.0, amplitude=0.5, phase=1.25),),
-            dc_term=0.2,
-        )
+        spec = LineSpectrum([100.0], [0.5], [1.25], dc_term=0.2)
         t = np.linspace(0.0, 0.05, 33)
         want = 0.2 + 0.5 * np.sin(TWO_PI * 100.0 * t + 1.25)
         assert np.allclose(synthesize(spec, t), want, atol=1e-15)

@@ -34,7 +34,7 @@ from .color import (
     standard_observer,
     xyz_to_srgb,
 )
-from .gesture import Gesture, adsr_gesture, map_gesture, serialize_gesture
+from .gesture import adsr_gesture, map_gesture, serialize_gesture
 from .ppm import write_ppm
 from .spectrum import LineSpectrum, fm_sidebands, fold_spectrum
 from .synth import _check_size, _segment_samples, analyze_harmonics, render_fm_path
@@ -369,10 +369,6 @@ def _parse_hex_color(text: str) -> tuple[int, int, int]:
     return int(raw[0:2], 16), int(raw[2:4], 16), int(raw[4:6], 16)
 
 
-def _envelope_breakpoints(gesture: Gesture) -> tuple[np.ndarray, np.ndarray]:
-    return gesture.vertex_points[:, 0], gesture.vertex_points[:, 1]
-
-
 def _run_envelope_transfer(args: argparse.Namespace) -> int:
     s = _merge_settings(args, _ENVELOPE_OPTIONS)
     base_rgb = _parse_hex_color(s["color"])
@@ -392,14 +388,12 @@ def _run_envelope_transfer(args: argparse.Namespace) -> int:
     colorized = map_gesture(amplitude_to_color, envelope)
     Path(s["out_gesture"]).write_text(serialize_gesture(colorized), encoding="ascii")
 
-    times, levels = _envelope_breakpoints(envelope)
+    # strip column x shows the envelope at the centre of its time slot
+    times, levels = envelope.vertex_points.T
     total = float(times[-1])
-    strip = np.zeros((STRIP_HEIGHT, STRIP_WIDTH, 3), dtype=np.uint8)
-    for x in range(STRIP_WIDTH):
-        t = total * (x + 0.5) / STRIP_WIDTH
-        amp = float(np.interp(t, times, levels))
-        strip[:, x] = [int(math.floor(amp * c + 0.5)) for c in base_rgb]
-    write_ppm(s["out_img"], strip)
+    amps = np.interp(total * (np.arange(STRIP_WIDTH) + 0.5) / STRIP_WIDTH, times, levels)
+    row = np.floor(amps[:, None] * scale + 0.5).astype(np.uint8)
+    write_ppm(s["out_img"], np.repeat(row[None], STRIP_HEIGHT, axis=0))
 
     print(
         f"envelope-transfer: {total:.3f} s envelope in "

@@ -70,6 +70,11 @@ class Digraph:
                     raise ValueError(
                         f"arrow {idx}: {name} {v!r} outside 0..{self.vertex_count - 1}"
                     )
+        # integral floats pass the checks above; store them as ints
+        object.__setattr__(self, "vertex_count", int(self.vertex_count))
+        object.__setattr__(
+            self, "arrows", tuple((int(s), int(t)) for s, t in self.arrows)
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,13 +142,46 @@ class Band:
 class Gesture:
     """Digraph with a point per vertex and a path per arrow.
 
-    Construct through make_gesture, which checks the endpoint law: each
-    arrow's path runs from its source vertex point to its target's.
+    Construction checks the endpoint law: one finite point per vertex,
+    one path per arrow a = (s, t) in the vertex dimension, starting
+    within ENDPOINT_TOLERANCE of point s and ending within it of point t.
     """
 
     digraph: Digraph
     vertex_points: np.ndarray
     arrow_paths: tuple[SampledPath, ...]
+
+    def __post_init__(self) -> None:
+        arrows = self.digraph.arrows
+        points = np.asarray(self.vertex_points, dtype=np.float64)
+        if points.ndim != 2 or points.shape[0] != self.digraph.vertex_count:
+            raise ValueError(
+                f"vertex points must be ({self.digraph.vertex_count}, d), "
+                f"got {points.shape}"
+            )
+        if not np.all(np.isfinite(points)):
+            raise ValueError("vertex points must be finite")
+        paths = tuple(self.arrow_paths)
+        if len(paths) != len(arrows):
+            raise ValueError(f"expected {len(arrows)} arrow paths, got {len(paths)}")
+        for idx, ((src, dst), path) in enumerate(zip(arrows, paths)):
+            if path.dimension != points.shape[1]:
+                raise ValueError(
+                    f"arrow {idx}: path dimension {path.dimension} differs from "
+                    f"vertex dimension {points.shape[1]}"
+                )
+            if not _close(path.start, points[src]):
+                raise EndpointError(
+                    f"arrow {idx}: path starts at {path.start.tolist()}, "
+                    f"source vertex {src} sits at {points[src].tolist()}"
+                )
+            if not _close(path.end, points[dst]):
+                raise EndpointError(
+                    f"arrow {idx}: path ends at {path.end.tolist()}, "
+                    f"target vertex {dst} sits at {points[dst].tolist()}"
+                )
+        object.__setattr__(self, "vertex_points", points)
+        object.__setattr__(self, "arrow_paths", paths)
 
     @property
     def dimension(self) -> int:
@@ -155,41 +193,8 @@ def make_gesture(
     vertex_points: np.ndarray | Sequence[Sequence[float]],
     arrow_paths: Sequence[SampledPath],
 ) -> Gesture:
-    """Validate and assemble a gesture.
-
-    vertex_points has one row per vertex.  For each arrow a = (s, t) the
-    path for a must start within ENDPOINT_TOLERANCE of vertex point s
-    and end within it of vertex point t.
-    """
-    points = np.asarray(vertex_points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[0] != digraph.vertex_count:
-        raise ValueError(
-            f"vertex points must be ({digraph.vertex_count}, d), got {points.shape}"
-        )
-    if not np.all(np.isfinite(points)):
-        raise ValueError("vertex points must be finite")
-    paths = tuple(arrow_paths)
-    if len(paths) != len(digraph.arrows):
-        raise ValueError(
-            f"expected {len(digraph.arrows)} arrow paths, got {len(paths)}"
-        )
-    for idx, ((src, dst), path) in enumerate(zip(digraph.arrows, paths)):
-        if path.dimension != points.shape[1]:
-            raise ValueError(
-                f"arrow {idx}: path dimension {path.dimension} differs from "
-                f"vertex dimension {points.shape[1]}"
-            )
-        if not _close(path.start, points[src]):
-            raise EndpointError(
-                f"arrow {idx}: path starts at {path.start.tolist()}, "
-                f"source vertex {src} sits at {points[src].tolist()}"
-            )
-        if not _close(path.end, points[dst]):
-            raise EndpointError(
-                f"arrow {idx}: path ends at {path.end.tolist()}, "
-                f"target vertex {dst} sits at {points[dst].tolist()}"
-            )
-    return Gesture(digraph=digraph, vertex_points=points, arrow_paths=paths)
+    """Assemble a gesture; Gesture itself checks the endpoint law."""
+    return Gesture(digraph, vertex_points, tuple(arrow_paths))
 
 
 def constant_path(point: Sequence[float] | np.ndarray, sample_count: int = 2) -> SampledPath:
@@ -256,49 +261,47 @@ def linear_band(from_path: SampledPath, to_path: SampledPath, row_count: int) ->
 PointMap = Callable[[np.ndarray], np.ndarray]
 
 
-def map_path(f: PointMap, path: SampledPath) -> SampledPath:
-    """Apply f to every sample point; f maps a 1-D point to a 1-D point."""
+def _map_points(f: PointMap, points: np.ndarray, label: str) -> np.ndarray:
+    """Stack f(row) over the rows, one call each; errors name '{label} {i}'."""
     images = []
     width = None
-    for i in range(path.sample_count):
+    for i, point in enumerate(points):
         try:
-            image = np.asarray(f(path.points[i]), dtype=np.float64).reshape(-1)
+            image = np.asarray(f(point), dtype=np.float64).reshape(-1)
         except Exception as exc:
-            raise ValueError(f"point map failed at sample {i}: {exc}") from exc
+            raise ValueError(f"point map failed at {label} {i}: {exc}") from exc
         if width is None:
             width = image.shape[0]
         elif image.shape[0] != width:
             raise ValueError(
-                f"point map changed output dimension at sample {i}: "
+                f"point map changed output dimension at {label} {i}: "
                 f"{image.shape[0]} != {width}"
             )
         images.append(image)
-    return SampledPath(points=np.vstack(images))
+    return np.array(images)
+
+
+def map_path(f: PointMap, path: SampledPath) -> SampledPath:
+    """Apply f to every sample point; f maps a 1-D point to a 1-D point."""
+    return SampledPath(points=_map_points(f, path.points, "sample"))
 
 
 def map_gesture(f: PointMap, gesture: Gesture) -> Gesture:
     """Apply f to all vertex points and path samples; same digraph.
 
-    Endpoint constraints survive because path endpoints and their vertex
-    points are the same inputs to the same deterministic f; validation
-    runs again on the result anyway.
+    Vertices map first, then each arrow's samples (errors prefixed
+    'arrow {idx}: ').  Endpoints survive because a path endpoint and its
+    vertex point are the same input to the same deterministic f; the
+    Gesture constructor checks them again anyway.
     """
-    mapped_vertices = []
-    for v in range(gesture.digraph.vertex_count):
-        try:
-            image = np.asarray(
-                f(gesture.vertex_points[v]), dtype=np.float64
-            ).reshape(-1)
-        except Exception as exc:
-            raise ValueError(f"point map failed at vertex {v}: {exc}") from exc
-        mapped_vertices.append(image)
-    mapped_paths = []
+    vertices = _map_points(f, gesture.vertex_points, "vertex")
+    paths = []
     for idx, path in enumerate(gesture.arrow_paths):
         try:
-            mapped_paths.append(map_path(f, path))
+            paths.append(map_path(f, path))
         except ValueError as exc:
             raise ValueError(f"arrow {idx}: {exc}") from exc
-    return make_gesture(gesture.digraph, np.vstack(mapped_vertices), mapped_paths)
+    return Gesture(gesture.digraph, vertices, tuple(paths))
 
 
 def adsr_gesture(
@@ -343,22 +346,20 @@ def adsr_gesture(
     return make_gesture(digraph, vertices, paths)
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def serialize_gesture(gesture: Gesture) -> str:
-    """Line-oriented text form; see parse_gesture for the grammar."""
+    """Line-oriented text form; see parse_gesture for the grammar.
+
+    Coordinates are written as repr(float), so parsing is exact.
+    """
     out = [f"digraph {gesture.digraph.vertex_count} {len(gesture.digraph.arrows)}"]
-    for src, dst in gesture.digraph.arrows:
-        out.append(f"a {src} {dst}")
-    for v in range(gesture.digraph.vertex_count):
-        coords = " ".join(_fmt(c) for c in gesture.vertex_points[v])
-        out.append(f"v {coords}")
+    out.extend(f"a {src} {dst}" for src, dst in gesture.digraph.arrows)
+    out.extend(
+        "v " + " ".join(map(repr, row)) for row in gesture.vertex_points.tolist()
+    )
     for idx, path in enumerate(gesture.arrow_paths):
         out.append(f"p {idx} {path.sample_count}")
-        for i in range(path.sample_count):
-            out.append(" ".join(_fmt(c) for c in path.points[i]))
+        # one row at a time: a whole-path tolist() holds every float at once
+        out.extend(" ".join(map(repr, row.tolist())) for row in path.points)
     return "\n".join(out) + "\n"
 
 

@@ -3,9 +3,10 @@
 Everything here is written independently of the library modules: exact
 rational power series for Bessel values, dictionary-based spectrum
 folding, a sine/cosine projection for harmonic analysis, by-hand linear
-interpolation for color lookups, and an explicit piecewise envelope
-formula.  Tests compare library outputs against these slower but
-transparent routes.
+interpolation for color lookups, an explicit piecewise envelope
+formula, the gesture text written one coordinate at a time and the
+envelope strip painted one column at a time.  Tests compare library
+outputs against these slower but transparent routes.
 """
 
 from __future__ import annotations
@@ -196,3 +197,39 @@ def adsr_level(
     if t < t4:
         return sustain_level * (1.0 - (t - t3) / release)
     return 0.0
+
+
+def gesture_text(vertex_count: int, arrows, vertex_points, paths) -> str:
+    """The gesture text format written one coordinate at a time.
+
+    arrows are (source, target) pairs, vertex_points one row per vertex
+    and paths one 2-D array of samples per arrow; every coordinate is
+    repr(float(c)).
+    """
+    out = [f"digraph {vertex_count} {len(arrows)}"]
+    for src, dst in arrows:
+        out.append(f"a {src} {dst}")
+    for row in vertex_points:
+        out.append("v " + " ".join(repr(float(c)) for c in row))
+    for idx, points in enumerate(paths):
+        out.append(f"p {idx} {len(points)}")
+        for row in points:
+            out.append(" ".join(repr(float(c)) for c in row))
+    return "\n".join(out) + "\n"
+
+
+def envelope_strip(
+    times, levels, rgb, width: int = 512, height: int = 32
+) -> np.ndarray:
+    """The envelope strip painted column by column.
+
+    Column x shows the breakpoint envelope interpolated at the centre of
+    its time slot, total * (x + 0.5) / width, times each base channel,
+    rounded half up.
+    """
+    total = float(times[-1])
+    strip = np.zeros((height, width, 3), dtype=np.uint8)
+    for x in range(width):
+        amp = float(np.interp(total * (x + 0.5) / width, times, levels))
+        strip[:, x] = [int(math.floor(amp * c + 0.5)) for c in rgb]
+    return strip

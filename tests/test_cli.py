@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import adsr_level
+from oracles import adsr_level, envelope_strip
 from timbrecolor import cli
 from timbrecolor.cli import (
     SQUARE_SIZE,
@@ -421,6 +421,29 @@ class TestEnvelopeTransferCommand:
                 assert max(abs(a - b) for a, b in zip(got, want)) <= 1
         assert mismatches <= 2
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"samples_per_segment": 2},
+            {"attack": 1e-6, "decay": 3.0, "sustain": 0.001, "release": 7.5},
+            {"sustain_level": 0.0},
+            {"color": "000000"},
+            {"color": "FFFFFF"},
+        ],
+    )
+    def test_strip_equals_the_column_oracle(self, tmp_path, overrides):
+        d = {**self.DEFAULTS, "color": "20A0FF", **overrides}
+        self.run(tmp_path, *(
+            arg for key, value in overrides.items()
+            for arg in ("--" + key.replace("_", "-"), str(value))
+        ))
+        times = np.cumsum([0.0, d["attack"], d["decay"], d["sustain"], d["release"]])
+        levels = [0.0, 1.0, d["sustain_level"], d["sustain_level"], 0.0]
+        rgb = [int(d["color"][i:i + 2], 16) for i in (0, 2, 4)]
+        want = envelope_strip(times, levels, rgb)
+        assert (tmp_path / "strip.ppm").read_bytes() == b"P6\n512 32\n255\n" + want.tobytes()
+
     def test_hex_color_accepts_leading_hash(self, tmp_path):
         self.run(tmp_path, "--color", "#20A0FF")
 
@@ -449,6 +472,27 @@ class TestParserBehavior:
     def test_missing_subcommand_exits(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestEntryPoint:
+    def test_python_dash_m_runs_envelope_transfer(self, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        done = subprocess.run(
+            [
+                sys.executable, "-m", "timbrecolor", "envelope-transfer",
+                "--color", "20A0FF", "--samples-per-segment", "4",
+            ],
+            cwd=tmp_path,
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("envelope-transfer:")
+        g = parse_gesture((tmp_path / "envelope_gesture.txt").read_text())
+        assert all(path.sample_count == 4 for path in g.arrow_paths)
+        assert read_ppm(tmp_path / "envelope_strip.ppm").shape == (32, 512, 3)
 
 
 class TestSweepScript:

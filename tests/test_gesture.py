@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import adsr_level
+from oracles import adsr_level, gesture_text
 from timbrecolor.gesture import (
     ENDPOINT_TOLERANCE,
     Band,
@@ -68,6 +68,26 @@ class TestDigraph:
     def test_loops_and_multi_arrows_allowed(self):
         d = Digraph(vertex_count=2, arrows=((0, 0), (0, 1), (0, 1)))
         assert len(d.arrows) == 3
+
+    def test_integral_floats_are_stored_as_ints(self):
+        d = Digraph(2.0, [(0.0, 1.0)])
+        assert d == Digraph(2, ((0, 1),))
+        assert type(d.vertex_count) is int
+        assert all(type(v) is int for arrow in d.arrows for v in arrow)
+
+    def test_integral_float_ids_survive_the_whole_layer(self):
+        d = Digraph(2.0, [(0.0, 1.0)])
+        g = make_gesture(d, [[0.0], [1.0]], [path_between([0.0], [1.0], samples=3)])
+        mapped = map_gesture(lambda q: 2.0 * q, g)
+        back = parse_gesture(serialize_gesture(mapped))
+        assert back.digraph == Digraph(2, ((0, 1),))
+        assert np.array_equal(back.arrow_paths[0].points, [[0.0], [1.0], [2.0]])
+
+    def test_fractional_ids_rejected(self):
+        with pytest.raises(ValueError, match="positive integer"):
+            Digraph(2.5, ())
+        with pytest.raises(ValueError, match="source 0.5"):
+            Digraph(2, ((0.5, 1),))
 
 
 class TestSampledPath:
@@ -230,6 +250,19 @@ class TestMakeGesture:
         with pytest.raises(ValueError, match="dimension"):
             make_gesture(d, vertices, [path_between([0.0, 0.0], [1.0, 0.0])])
 
+    def test_constructor_checks_the_endpoint_law(self):
+        d = Digraph(vertex_count=2, arrows=((0, 1),))
+        vertices = np.array([[0.0, 0.0], [1.0, 1.0]])
+        bad = path_between([0.5, 0.0], [1.0, 1.0])
+        with pytest.raises(EndpointError, match="arrow 0"):
+            Gesture(d, vertices, (bad,))
+
+    def test_constructor_stores_float64_points_and_a_path_tuple(self):
+        d = Digraph(vertex_count=2, arrows=((0, 1),))
+        g = Gesture(d, [[0], [1]], [path_between([0.0], [1.0])])
+        assert g.vertex_points.dtype == np.float64
+        assert isinstance(g.arrow_paths, tuple)
+
 
 class TestMapping:
     def test_map_path_identity(self):
@@ -253,7 +286,7 @@ class TestMapping:
             calls.append(q)
             return np.zeros(1) if len(calls) == 1 else np.zeros(2)
 
-        with pytest.raises(ValueError, match="dimension"):
+        with pytest.raises(ValueError, match="output dimension at sample 1"):
             map_path(ragged, p)
 
     def test_map_gesture_identity_law(self):
@@ -291,6 +324,31 @@ class TestMapping:
 
         with pytest.raises(ValueError, match="vertex 0"):
             map_gesture(explode, g)
+
+    def test_map_gesture_rejects_ragged_vertex_map(self):
+        g = random_gesture(np.random.default_rng(10))
+        calls = []
+
+        def ragged(q):
+            calls.append(q)
+            return np.zeros(1) if len(calls) == 1 else np.zeros(2)
+
+        with pytest.raises(ValueError, match="output dimension at vertex 1"):
+            map_gesture(ragged, g)
+
+    def test_map_gesture_names_arrow_and_sample(self):
+        d = Digraph(vertex_count=4, arrows=((0, 1), (1, 2), (2, 3)))
+        vertices = np.array([[0.0], [1.0], [2.0], [3.0]])
+        paths = [path_between(vertices[s], vertices[t], samples=5) for s, t in d.arrows]
+        g = make_gesture(d, vertices, paths)
+
+        def fails_at_2_75(q):
+            if q[0] == 2.75:
+                raise RuntimeError("boom")
+            return q
+
+        with pytest.raises(ValueError, match="^arrow 2: point map failed at sample 3"):
+            map_gesture(fails_at_2_75, g)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
@@ -369,6 +427,34 @@ class TestSerialization:
         back = parse_gesture(serialize_gesture(g))
         assert np.array_equal(back.vertex_points, g.vertex_points)
         assert np.array_equal(back.arrow_paths[0].points, path.points)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_text_matches_the_coordinate_oracle(self, seed):
+        g = random_gesture(np.random.default_rng(seed), dimension=1 + seed % 3)
+        want = gesture_text(
+            g.digraph.vertex_count, g.digraph.arrows, g.vertex_points,
+            [path.points for path in g.arrow_paths],
+        )
+        assert serialize_gesture(g) == want
+
+    def test_text_matches_the_oracle_on_extreme_floats(self):
+        d = Digraph(vertex_count=2, arrows=((0, 1), (1, 1)))
+        vertices = np.array(
+            [[-0.0, 5e-324, 1e-17], [3.0, 7e16, 1.7976931348623157e308]]
+        )
+        path = SampledPath(points=np.array([
+            vertices[0], [1.7976931348623157e308, -0.0, 5e-324],
+            [1e-17, 3.0, 7e16], vertices[1],
+        ]))
+        loop = constant_path(vertices[1], sample_count=3)
+        g = make_gesture(d, vertices, [path, loop])
+        text = serialize_gesture(g)
+        assert text == gesture_text(2, d.arrows, vertices, [path.points, loop.points])
+        assert "v -0.0 5e-324 1e-17\n" in text
+        assert "1.7976931348623157e+308 -0.0 5e-324\n" in text
+        back = parse_gesture(text)
+        assert np.array_equal(back.arrow_paths[0].points, path.points)
+        assert np.signbit(back.vertex_points[0, 0])
 
     def test_adsr_roundtrip(self):
         g = adsr_gesture(1.0, 0.7, [0.05, 0.15, 0.4, 0.3])

@@ -27,16 +27,11 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .color import (
-    ColorMatchingTable,
-    OctaveMap,
-    spectrum_to_xyz,
-    standard_observer,
-    xyz_to_srgb,
-)
+from .color import ColorMatchingTable, OctaveMap, _cube_rows, _srgb_rows, _xyz_rows
+from .color import spectrum_to_xyz, standard_observer, xyz_to_srgb
 from .gesture import adsr_gesture, map_gesture, serialize_gesture
 from .ppm import write_ppm
-from .spectrum import LineSpectrum, fm_sidebands, fold_spectrum
+from .spectrum import LineSpectrum, _fold_rows, _sideband_rows
 from .synth import _check_size, _segment_samples, analyze_harmonics, render_fm_path
 from .wavefile import read_wav, write_wav
 
@@ -48,6 +43,7 @@ SWATCH_SIZE = 64
 STRIP_WIDTH = 512
 STRIP_HEIGHT = 32
 _ENVELOPE_PEAK = 1.0
+_BLOCK_INDICES = 256  # grid values per array pass of _fm_path_rows
 
 
 @dataclass(frozen=True)
@@ -58,6 +54,9 @@ class OptionSpec:
     help: str
 
 
+_FLIP_HELP = "map the octave base to violet instead of red"
+_FLIP_OPTION = OptionSpec("flip-orientation", bool, False, _FLIP_HELP)  # fm-path and wav2color
+
 _FM_PATH_OPTIONS = (
     OptionSpec("fc", float, 440.0, "carrier frequency in Hz"),
     OptionSpec("fm", float, 880.0, "modulator frequency in Hz"),
@@ -67,12 +66,7 @@ _FM_PATH_OPTIONS = (
     OptionSpec("base", float, 440.0, "octave base frequency in Hz"),
     OptionSpec("rate", int, 44100, "sample rate in Hz"),
     OptionSpec("seg-dur", float, 0.1, "seconds of audio per grid value"),
-    OptionSpec(
-        "flip-orientation",
-        bool,
-        False,
-        "map the octave base to violet instead of red",
-    ),
+    _FLIP_OPTION,
     OptionSpec("out-wav", str, "fm_path.wav", "output WAV path"),
     OptionSpec("out-img", str, "fm_path.ppm", "output PPM image path"),
     OptionSpec("out-csv", str, "fm_path.csv", "output CSV path"),
@@ -86,12 +80,7 @@ _WAV2COLOR_OPTIONS = (
     OptionSpec("fundamental", float, None, "fundamental frequency in Hz (required)"),
     OptionSpec("max-harmonic", int, 32, "highest harmonic to extract"),
     OptionSpec("base", float, 440.0, "octave base frequency in Hz"),
-    OptionSpec(
-        "flip-orientation",
-        bool,
-        False,
-        "map the octave base to violet instead of red",
-    ),
+    _FLIP_OPTION,
     OptionSpec("out-img", str, "wav_color.ppm", "output swatch PPM path"),
     OptionSpec("out-csv", str, "wav_color.csv", "output CSV path"),
 )
@@ -219,29 +208,25 @@ def _csv_open(path: str):
 
 
 def _fm_path_rows(
-    fc: float,
-    fm: float,
-    grid: Sequence[float],
-    octave: OctaveMap,
-    cmf: ColorMatchingTable,
+    fc: float, fm: float, grid: Sequence[float], octave: OctaveMap, cmf: ColorMatchingTable
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(xyz, rgb, orders, weights) of a sweep, one row per grid value: cube
     XYZ as (n, 3) floats, 8-bit sRGB as (n, 3) int64, the sideband order N
     and the sum of absolute folded amplitudes of each index.
+
+    Each block of _BLOCK_INDICES values takes one set of array passes, and
+    each row equals the chain fm_sidebands, fold_spectrum, spectrum_to_xyz,
+    xyz_to_srgb on its own index bit for bit.
     """
-    n = len(grid)
-    xyz, rgb = np.empty((n, 3)), np.empty((n, 3), dtype=np.int64)
-    orders, weights = np.empty(n, dtype=np.int64), np.empty(n)
-    for k, index in enumerate(grid):
-        raw = fm_sidebands(fc, fm, index)
-        folded = fold_spectrum(raw)
-        color = spectrum_to_xyz(folded, octave, cmf)
-        srgb = xyz_to_srgb(color)
-        xyz[k] = color.x, color.y, color.z
-        rgb[k] = srgb.r, srgb.g, srgb.b
-        orders[k] = (len(raw) - 1) // 2  # raw runs -N..N
-        weights[k] = np.sum(np.abs(folded.amplitudes))
-    return xyz, rgb, orders, weights
+    blocks = []
+    for k in range(0, len(grid), _BLOCK_INDICES):
+        freqs, amps, orders = _sideband_rows(fc, fm, grid[k : k + _BLOCK_INDICES])
+        lines, amplitudes, counts, _dc = _fold_rows(freqs, amps, 2 * orders + 1)
+        xyz = _cube_rows(_xyz_rows(lines, amplitudes, counts, octave, cmf))
+        # one np.sum per row: a pairwise sum depends on the row's length
+        rows = np.split(amplitudes, np.cumsum(counts)[:-1])
+        blocks.append((xyz, _srgb_rows(xyz), orders, [np.sum(np.abs(row)) for row in rows]))
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
 def _squares_image(rgb: np.ndarray) -> np.ndarray:
@@ -300,18 +285,9 @@ def _run_fm_path(args: argparse.Namespace) -> int:
     log_path = s["out_log"] or str(Path(s["out_csv"]).with_suffix(".log"))
     with _csv_open(log_path) as fh:
         fh.write("command: fm-path\n")
-        for key in (
-            "fc",
-            "fm",
-            "i_start",
-            "i_end",
-            "i_step",
-            "base",
-            "rate",
-            "seg_dur",
-            "flip_orientation",
-        ):
-            fh.write(f"{key}: {s[key]}\n")
+        for key in (_dest(opt.name) for opt in _FM_PATH_OPTIONS):
+            if not key.startswith("out_"):
+                fh.write(f"{key}: {s[key]}\n")
         fh.write(f"grid_rows: {len(grid)}\n")
         fh.write(f"segment_samples: {seg}\n")
         fh.write(f"total_samples: {len(wave.samples)}\n")

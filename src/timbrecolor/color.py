@@ -19,7 +19,7 @@ from importlib import resources
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .spectrum import LineSpectrum
+from .spectrum import LineSpectrum, _run_sums
 
 __all__ = [
     "VISIBLE_MIN_NM",
@@ -246,31 +246,34 @@ def freq_to_wavelength(frequency_hz: ArrayLike, octave: OctaveMap) -> float | np
     return float(lam) if np.ndim(frequency_hz) == 0 else lam
 
 
+def _xyz_rows(freqs, amps, counts, octave: OctaveMap, cmf: ColorMatchingTable) -> np.ndarray:
+    """spectrum_xyz_raw of many spectra as (n, 3), from their lines end to
+    end with counts[j] lines in spectrum j: one array pass over all lines,
+    each spectrum's sums in its line order."""
+    nonzero = amps != 0.0
+    sizes = np.bincount(np.repeat(np.arange(len(counts)), counts)[nonzero], minlength=len(counts))
+    if not sizes.all():
+        raise DegenerateSpectrumError("spectrum has no nonzero-amplitude lines to color")
+    weights = np.abs(amps[nonzero])
+    rows = _cmf_rows(freq_to_wavelength(octave_reduce(freqs[nonzero], octave), octave), cmf)
+    return _run_sums(weights[:, None] * rows, sizes) / _run_sums(weights, sizes)[:, None]
+
+
 def spectrum_xyz_raw(
-    spectrum: LineSpectrum,
-    octave: OctaveMap,
-    cmf: ColorMatchingTable,
+    spectrum: LineSpectrum, octave: OctaveMap, cmf: ColorMatchingTable
 ) -> XYZColor:
     """Amplitude-weighted average of line colors, before cube projection.
 
     Weights are absolute amplitudes: a line's sign is a phase flip and
-    phase carries no color.  The DC term is excluded; it is silent.
-    All lines are reduced, mapped and interpolated in one array pass;
-    the weights and weighted rows are summed in line order, one running
-    sum each, exactly as a loop over the lines would add them.
+    phase carries no color.  The DC term is excluded; it is silent.  As
+    one row of _xyz_rows, all lines are reduced, mapped and interpolated
+    in one array pass and the weights and weighted rows are summed in
+    line order, exactly as a loop over the lines would add them.
     Raises DegenerateSpectrumError when the total weight is zero, which
     covers empty spectra, all-zero amplitudes, and pure-DC content.
     """
-    nonzero = spectrum.amplitudes != 0.0
-    if not nonzero.any():
-        raise DegenerateSpectrumError(
-            "spectrum has no nonzero-amplitude lines to color"
-        )
-    weights = np.abs(spectrum.amplitudes[nonzero])
-    reduced = octave_reduce(spectrum.frequencies[nonzero], octave)
-    rows = _cmf_rows(freq_to_wavelength(reduced, octave), cmf)
-    acc = np.cumsum(weights[:, None] * rows, axis=0)[-1]
-    return XYZColor(*(acc / np.cumsum(weights)[-1]).tolist())
+    f, a = spectrum.frequencies, spectrum.amplitudes
+    return XYZColor(*_xyz_rows(f, a, np.array([len(a)]), octave, cmf)[0].tolist())
 
 
 def spectrum_to_xyz(
@@ -282,26 +285,29 @@ def spectrum_to_xyz(
     return project_to_cube(spectrum_xyz_raw(spectrum, octave, cmf))
 
 
+def _cube_rows(v: np.ndarray) -> np.ndarray:
+    top = v.max(axis=1, keepdims=True)
+    inside = (v.min(axis=1, keepdims=True) >= 0.0) & (top <= 1.0)
+    scaled = np.divide(v, top, out=v.copy(), where=top > 0.0)
+    return np.where(inside, v, np.clip(scaled, 0.0, 1.0))
+
+
 def project_to_cube(xyz: XYZColor) -> XYZColor:
     """Bring a tristimulus triple into [0, 1]^3.
 
     Points already inside are fixed.  Otherwise divide by the largest
     component, which preserves chromaticity, and clamp any negatives.
+    _cube_rows does this for each row of an (n, 3) array.
     """
-    v = xyz.as_array()
-    top = float(np.max(v))
-    if 0.0 <= float(np.min(v)) and top <= 1.0:
-        return xyz
-    if top > 0.0:
-        v = v / top
-    v = np.clip(v, 0.0, 1.0)
-    return XYZColor(x=float(v[0]), y=float(v[1]), z=float(v[2]))
+    return XYZColor(*_cube_rows(xyz.as_array()[None])[0].tolist())
 
 
-def _transfer(channel: float) -> float:
-    if channel <= _LINEAR_THRESHOLD:
-        return 12.92 * channel
-    return 1.055 * channel ** (1.0 / 2.4) - 0.055
+def _srgb_rows(xyz: np.ndarray) -> np.ndarray:
+    # a matrix-vector product per row, and Python's pow: numpy's can differ in the last bit
+    linear = np.clip(np.matmul(_XYZ_TO_RGB, xyz[:, :, None])[:, :, 0], 0.0, 1.0)
+    curve = [1.055 * c ** (1.0 / 2.4) - 0.055 for c in linear.ravel().tolist()]
+    curve = np.where(linear <= _LINEAR_THRESHOLD, 12.92 * linear, np.reshape(curve, linear.shape))
+    return np.floor(255.0 * curve + 0.5).astype(np.int64)
 
 
 def xyz_to_srgb(xyz: XYZColor) -> SRGBColor:
@@ -309,11 +315,9 @@ def xyz_to_srgb(xyz: XYZColor) -> SRGBColor:
 
     Linear channels are clamped to [0, 1] before the transfer curve;
     quantization rounds half up so results are platform independent.
+    _srgb_rows does this for each row of an (n, 3) array.
     """
-    linear = _XYZ_TO_RGB @ xyz.as_array()
-    linear = np.clip(linear, 0.0, 1.0)
-    channels = [math.floor(255.0 * _transfer(float(c)) + 0.5) for c in linear]
-    return SRGBColor(r=channels[0], g=channels[1], b=channels[2])
+    return SRGBColor(*_srgb_rows(xyz.as_array()[None])[0].tolist())
 
 
 def chromaticity(xyz: XYZColor) -> tuple[float, float]:

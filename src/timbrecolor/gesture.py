@@ -42,6 +42,8 @@ __all__ = [
 ]
 
 ENDPOINT_TOLERANCE = 1e-9
+# adsr_gesture's path size cap; envelope-transfer peaks near 1.1 GB at 10**6 points
+MAX_PATH_POINTS = 1_000_000
 
 
 class EndpointError(ValueError):
@@ -60,21 +62,17 @@ class Digraph:
     arrows: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if int(self.vertex_count) != self.vertex_count or self.vertex_count < 1:
-            raise ValueError(
-                f"vertex count must be a positive integer, got {self.vertex_count!r}"
-            )
+        # isfinite first: int() raises OverflowError for inf, a bare ValueError for nan
+        n = self.vertex_count
+        if not (math.isfinite(n) and int(n) == n and n >= 1):
+            raise ValueError(f"vertex count must be a positive integer, got {n!r}")
         for idx, (src, dst) in enumerate(self.arrows):
             for name, v in (("source", src), ("target", dst)):
-                if int(v) != v or not (0 <= v < self.vertex_count):
-                    raise ValueError(
-                        f"arrow {idx}: {name} {v!r} outside 0..{self.vertex_count - 1}"
-                    )
+                if not (math.isfinite(v) and int(v) == v and 0 <= v < n):
+                    raise ValueError(f"arrow {idx}: {name} {v!r} outside 0..{n - 1}")
         # integral floats pass the checks above; store them as ints
-        object.__setattr__(self, "vertex_count", int(self.vertex_count))
-        object.__setattr__(
-            self, "arrows", tuple((int(s), int(t)) for s, t in self.arrows)
-        )
+        object.__setattr__(self, "vertex_count", int(n))
+        object.__setattr__(self, "arrows", tuple((int(s), int(t)) for s, t in self.arrows))
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,11 +331,11 @@ def adsr_gesture(
         raise ValueError(
             f"need at least 2 samples per segment, got {samples_per_segment}"
         )
-    times = [0.0]
-    for d in stages:
-        times.append(times[-1] + d)
-    levels = [0.0, attack_level, sustain_level, sustain_level, 0.0]
-    vertices = np.array(list(zip(times, levels)), dtype=np.float64)
+    total = len(stages) * samples_per_segment
+    if total > MAX_PATH_POINTS:
+        raise ValueError(f"size guard: {total} path points exceeds cap {MAX_PATH_POINTS}")
+    times = np.cumsum([0.0, *stages])  # t1 = 0.0 + d0, t2 = t1 + d1, ...
+    vertices = np.column_stack((times, [0.0, attack_level, sustain_level, sustain_level, 0.0]))
     digraph = Digraph(vertex_count=5, arrows=((0, 1), (1, 2), (2, 3), (3, 4)))
     paths = []
     for src, dst in digraph.arrows:

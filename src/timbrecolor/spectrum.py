@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bessel import DEFAULT_TAIL_TOLERANCE, bessel_row
+from .bessel import DEFAULT_TAIL_TOLERANCE, _bessel_rows, _validate_arguments, _validate_tolerance
 
 __all__ = [
     "MERGE_TOLERANCE_HZ",
@@ -106,6 +106,30 @@ class LineSpectrum:
         return tuple(SpectralLine(*row) for row in rows)
 
 
+def _run_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Sum each run of consecutive values (sizes long) in order, as a loop
+    would: a running sum along rows padded with -0.0, which changes no sum."""
+    runs = np.repeat(np.arange(len(sizes)), sizes)
+    padded = np.full((len(sizes), sizes.max(initial=1), *values.shape[1:]), -0.0)
+    padded[runs, np.arange(len(values)) - (np.cumsum(sizes) - sizes)[runs]] = values
+    return np.cumsum(padded, axis=1)[:, -1]
+
+
+def _sideband_rows(fc_hz: float, fm_hz: float, indices, tail_tolerance=DEFAULT_TAIL_TOLERANCE):
+    """(frequencies, amplitudes, N) of many indices: row j holds fm_sidebands
+    of index j in its first 2 N_j + 1 entries, then padding."""
+    fc, fm = float(fc_hz), float(fm_hz)
+    for name, value, given in (("carrier", fc, fc_hz), ("modulator", fm, fm_hz)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} frequency must be positive, got {given!r}")
+    x = _validate_arguments(indices)
+    block, _energy, orders = _bessel_rows(x, _validate_tolerance(tail_tolerance))
+    n = np.arange(2 * orders.max() + 1) - orders[:, None]
+    amps = np.take_along_axis(block.T, np.minimum(np.abs(n), len(block) - 1), axis=1)
+    with np.errstate(over="ignore"):  # the fold reports an infinite line
+        return fc + n * fm, np.where((n < 0) & (n % 2 != 0), -amps, amps), orders
+
+
 def fm_sidebands(
     carrier_hz: float,
     modulator_hz: float,
@@ -114,24 +138,38 @@ def fm_sidebands(
 ) -> list[tuple[float, float]]:
     """Raw two-sided sideband list [(carrier + n*modulator, J_n(I))].
 
-    Runs n from -N to N with N from the truncation rule in bessel_row;
-    negative orders come from the parity identity J_{-n} = (-1)^n J_n.
-    Frequencies may be negative or zero here; fold_spectrum canonicalizes.
+    One row of _sideband_rows: n runs from -N to N, N from bessel_row's
+    truncation rule, and J_{-n} = (-1)^n J_n.  Frequencies may be
+    negative or zero here; fold_spectrum canonicalizes.
     """
-    fc = float(carrier_hz)
-    fm = float(modulator_hz)
-    if not (math.isfinite(fc) and fc > 0.0):
-        raise ValueError(f"carrier frequency must be positive, got {carrier_hz!r}")
-    if not (math.isfinite(fm) and fm > 0.0):
-        raise ValueError(f"modulator frequency must be positive, got {modulator_hz!r}")
-    row = bessel_row(modulation_index, tail_tolerance)
-    out: list[tuple[float, float]] = []
-    for n in range(-row.max_order, row.max_order + 1):
-        amplitude = row.values[abs(n)]
-        if n < 0 and n % 2 != 0:
-            amplitude = -amplitude
-        out.append((fc + n * fm, amplitude))
-    return out
+    rows = _sideband_rows(carrier_hz, modulator_hz, float(modulation_index), tail_tolerance)
+    return list(zip(rows[0][0].tolist(), rows[1][0].tolist()))
+
+
+def _fold_rows(freqs: np.ndarray, amps: np.ndarray, counts: np.ndarray) -> tuple:
+    """fold_spectrum of the first counts[j] lines of each row j: the folded
+    lines of all rows end to end, and each row's line count and dc_term."""
+    valid = np.arange(freqs.shape[1]) < counts[:, None]
+    bad = valid & ~(np.isfinite(freqs) & np.isfinite(amps))
+    if bad.any():
+        raise ValueError(f"raw line {(freqs[bad][0].item(), amps[bad][0].item())} is not finite")
+    order = np.argsort(np.where(valid, np.abs(freqs), np.inf), axis=1, kind="stable")
+    f = np.abs(np.take_along_axis(freqs, order, axis=1)[valid])
+    a = np.take_along_axis(np.where(freqs < 0.0, -amps, amps), order, axis=1)[valid]
+    row = np.repeat(np.arange(len(counts)), counts)
+    dc = f <= MERGE_TOLERANCE_HZ
+    dc_counts = np.bincount(row[dc], minlength=len(counts))
+    # groups open at each row's first line above DC, after each gap above the
+    # tolerance and, in order, at each line too far above its group's first
+    opens = ~dc & (np.diff(f, prepend=-np.inf) > MERGE_TOLERANCE_HZ)
+    opens[(np.cumsum(counts) - counts + dc_counts)[dc_counts < counts]] = True
+    head, last = np.maximum.accumulate(np.where(opens, np.arange(len(f)), 0)), -1
+    for i in np.flatnonzero(~dc & (f - f[head] > MERGE_TOLERANCE_HZ)).tolist():
+        if f[i] - f[max(head[i], last)] > MERGE_TOLERANCE_HZ:
+            opens[i], last = True, i
+    sizes = np.diff(np.flatnonzero(opens[~dc]), append=np.count_nonzero(~dc))
+    lines = np.bincount(row[opens], minlength=len(counts))
+    return f[opens], _run_sums(a[~dc], sizes), lines, 0.0 + _run_sums(a[dc], dc_counts)
 
 
 def fold_spectrum(raw: Iterable[tuple[float, float]]) -> LineSpectrum:
@@ -144,29 +182,14 @@ def fold_spectrum(raw: Iterable[tuple[float, float]]) -> LineSpectrum:
     accumulates into dc_term.  A line joins the open group when it lies
     within MERGE_TOLERANCE_HZ of the group's first frequency; the group
     keeps that frequency and the sum of its amplitudes.  The waveform is
-    unchanged: this is an identity on the signal.
+    unchanged: this is an identity on the signal.  One row of _fold_rows.
     """
     pairs = np.array(list(raw), dtype=np.float64)
     if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
         raise ValueError(f"expected (frequency, amplitude) pairs, got shape {pairs.shape}")
-    bad = ~np.isfinite(pairs).all(axis=-1)
-    if bad.any():
-        raise ValueError(f"raw line {tuple(pairs[bad][0].tolist())} is not finite")
     freqs, amps = pairs.reshape(-1, 2).T
-    amps = np.where(freqs < 0.0, -amps, amps)
-    freqs = np.abs(freqs)
-    order = np.argsort(freqs, kind="stable")
-
-    dc = 0.0
-    merged: list[tuple[float, float]] = []
-    for f, a in zip(freqs[order].tolist(), amps[order].tolist()):
-        if f <= MERGE_TOLERANCE_HZ:
-            dc += a
-        elif merged and f - merged[-1][0] <= MERGE_TOLERANCE_HZ:
-            merged[-1] = (merged[-1][0], merged[-1][1] + a)
-        else:
-            merged.append((f, a))
-    return LineSpectrum(*np.array(merged).reshape(-1, 2).T, dc_term=dc)
+    f, a, _counts, dc = _fold_rows(freqs[None], amps[None], np.array([len(freqs)]))
+    return LineSpectrum(f, a, dc_term=dc.item())
 
 
 def synthesize(

@@ -1,7 +1,8 @@
 """Reference implementations used to cross-check the package.
 
 Everything here is written independently of the library modules: exact
-rational power series for Bessel values, dictionary-based spectrum
+rational power series for Bessel values, a scalar Miller recurrence
+and truncation loop, dictionary-based spectrum
 folding, a sine/cosine projection for harmonic analysis, by-hand linear
 interpolation for color lookups, an explicit piecewise envelope
 formula, the gesture text written one coordinate at a time and the
@@ -117,6 +118,66 @@ def interp_column(lam: float, wavelengths, column) -> float:
     lo = wavelengths[0] + 5.0 * i
     frac = (lam - lo) / 5.0
     return float(column[i] * (1.0 - frac) + column[i + 1] * frac)
+
+
+def miller_row(x: float, n_max: int) -> list[float]:
+    """J_0(x)..J_{n_max}(x) from one scalar downward Miller recurrence.
+
+    Seeded at order top + 40 + 2 ceil(sqrt(top)) with top = max(n_max,
+    ceil(x)), rescaled by exact powers of two near 2**-500 and normalized
+    by math.fsum of J_0 + 2 sum J_2k: the float64 method the package
+    uses, written one column at a time with Python floats.
+    """
+    if x == 0.0:
+        return [1.0] + [0.0] * n_max
+    top = max(n_max, math.ceil(x))
+    start = top + 40 + 2 * math.ceil(math.sqrt(top))
+    mantissas = [0.0] * (start + 1)
+    exponents = [0] * (start + 1)
+    mantissas[start] = current = math.ldexp(1.0, -500)
+    above, exponent = 0.0, 0
+    for k in range(start, 0, -1):
+        below = 2 * k * current / x - above
+        if abs(below) >= math.ldexp(1.0, -500):
+            shift = math.frexp(below)[1] + 500
+            below = math.ldexp(below, -shift)
+            current = math.ldexp(current, -shift)
+            exponent += shift
+        mantissas[k - 1] = below
+        exponents[k - 1] = exponent
+        above, current = current, below
+    norm = math.fsum(
+        [mantissas[0]]
+        + [
+            2.0 * math.ldexp(mantissas[k], exponents[k] - exponent)
+            for k in range(2, start + 1, 2)
+        ]
+    )
+    return [
+        math.ldexp(mantissas[k] / norm, exponents[k] - exponent)
+        for k in range(n_max + 1)
+    ]
+
+
+def truncation_orders(x: float, tol: float) -> tuple[int, int]:
+    """(energy order, row order) of the sideband truncation rule, by loops.
+
+    The energy order is the smallest N whose two-sided tail
+    2 * sum_{n > N} J_n^2, summed from the top of miller_row(x, int(x) + 80)
+    down, is below tol; the row order extends it while the next value
+    still reaches tol in magnitude.
+    """
+    block = miller_row(x, int(x) + 80)
+    tails = [0.0] * len(block)
+    running = 0.0
+    for n in range(len(block) - 1, 0, -1):
+        running += 2.0 * block[n] * block[n]
+        tails[n - 1] = running
+    energy = next(n for n in range(len(block) - 1) if tails[n] < tol)
+    n = energy
+    while n + 1 < len(block) and abs(block[n + 1]) >= tol:
+        n += 1
+    return energy, n
 
 
 def octave_loop(g: float, base: float) -> float:

@@ -2,14 +2,17 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bessel_reference, bessel_series
+from oracles import bessel_reference, bessel_series, miller_row, truncation_orders
 from timbrecolor.bessel import (
     DEFAULT_TAIL_TOLERANCE,
     BesselCoefficients,
+    _bessel_rows,
+    _miller_rows,
     bessel_j,
     bessel_row,
     energy_order,
@@ -141,3 +144,62 @@ class TestEnergyOrder:
     def test_sits_at_or_below_row_order(self):
         for index in (0.5, 2.0, 10.0, 20.0):
             assert energy_order(index) <= bessel_row(index).max_order
+
+
+# the sweep-fine grid of seed 1: 2001 indices from a sub-step offset
+SWEEP = 0.01 * np.arange(2001) + float(np.random.default_rng(1).uniform(0.0, 0.01))
+MIXED = [0.0, 5e-324, 4.3e-139, 1e-8, 11.999999, 12.0, 12.000001, 999.99, 1000.0]
+
+
+def bits(values) -> np.ndarray:
+    """The float64 bit patterns, so -0.0 and 0.0 compare unequal."""
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+class TestBatchedRecurrence:
+    """One recurrence over many arguments equals the scalar one per column."""
+
+    @pytest.mark.parametrize("xs", [SWEEP, np.array(MIXED)], ids=["sweep", "mixed"])
+    def test_columns_equal_the_scalar_recurrence(self, xs):
+        n_max = xs.astype(np.int64) + 80
+        block = _miller_rows(xs, n_max)
+        for j, x in enumerate(xs.tolist()):
+            want = miller_row(x, int(n_max[j]))
+            assert np.array_equal(bits(block[: len(want), j]), bits(want)), x
+
+    def test_columns_with_their_own_order_limits(self):
+        xs = np.array(MIXED)
+        n_max = np.array([0, 3, 40, 1, 60, 12, 7, 5, 1200])
+        block = _miller_rows(xs, n_max)
+        assert block.shape == (1201, len(xs))
+        for j, x in enumerate(MIXED):
+            want = miller_row(x, int(n_max[j]))
+            assert np.array_equal(bits(block[: len(want), j]), bits(want)), x
+
+    @pytest.mark.parametrize("xs", [SWEEP, np.array(MIXED)], ids=["sweep", "mixed"])
+    def test_orders_equal_the_truncation_loops(self, xs):
+        _block, energy, orders = _bessel_rows(xs, DEFAULT_TAIL_TOLERANCE)
+        got = list(zip(energy.tolist(), orders.tolist()))
+        assert got == [truncation_orders(x, DEFAULT_TAIL_TOLERANCE) for x in xs.tolist()]
+
+    @pytest.mark.parametrize("x", MIXED + SWEEP[::250].tolist())
+    def test_public_functions_are_single_columns(self, x):
+        energy, order = truncation_orders(x, DEFAULT_TAIL_TOLERANCE)
+        row = bessel_row(x)
+        assert (energy_order(x), row.max_order) == (energy, order)
+        assert np.array_equal(bits(row.values), bits(miller_row(x, int(x) + 80)[: order + 1]))
+        assert bessel_j(7, x) == miller_row(x, 7)[7]
+
+    def test_first_bad_argument_of_a_batch_raises(self):
+        from timbrecolor.bessel import _validate_arguments
+
+        with pytest.raises(ValueError, match="must be nonnegative, got -1.0"):
+            _validate_arguments([0.5, -1.0, math.nan])
+        with pytest.raises(ValueError, match="must be finite, got nan"):
+            _validate_arguments([0.5, math.nan, -1.0])
+        with pytest.raises(ValueError, match="1000.5 exceeds supported maximum"):
+            _validate_arguments([1000.5, -1.0])
+
+    def test_unreachable_tolerance_names_its_index(self):
+        with pytest.raises(ValueError, match="at index 1000.0"):
+            _bessel_rows(np.array([1.0, 1000.0]), 1e-40)

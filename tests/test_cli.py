@@ -12,11 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import adsr_level, envelope_strip
-from timbrecolor import cli
+from timbrecolor import cli, gesture
 from timbrecolor.cli import (
     SQUARE_SIZE,
     SQUARES_PER_ROW,
     _adjacent_distances,
+    _fm_path_rows,
     _full_span_distance,
     _squares_image,
     build_index_grid,
@@ -234,6 +235,58 @@ class TestFMPathCommand:
         assert main(args) == 2
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+def chain_rows(fc, fm, grid, octave, cmf):
+    """_fm_path_rows's four arrays, one index at a time through the public
+    fm_sidebands, fold_spectrum, spectrum_to_xyz and xyz_to_srgb."""
+    xyz, rgb, orders, weights = [], [], [], []
+    for index in grid:
+        raw = fm_sidebands(fc, fm, index)
+        folded = fold_spectrum(raw)
+        color = spectrum_to_xyz(folded, octave, cmf)
+        srgb = xyz_to_srgb(color)
+        xyz.append([color.x, color.y, color.z])
+        rgb.append([srgb.r, srgb.g, srgb.b])
+        orders.append((len(raw) - 1) // 2)
+        weights.append(np.sum(np.abs(folded.amplitudes)))
+    return np.array(xyz), np.array(rgb), np.array(orders), np.array(weights)
+
+
+# (fc, fm, start, end, step, base, flip): the fm-path settings whose outputs
+# are compared byte for byte across changes, some grids made coarser
+SWEEPS = [
+    (440.0, 880.0, 0.0, 20.0, 0.1, 440.0, False),
+    (440.0, 880.0, 0.0, 20.0, 0.1, 261.63, True),
+    (1000.0, 250.0, 0.003, 12.003, 0.07, 440.0, False),
+    (100.0, 137.3, 0.0, 100.0, 0.5, 440.0, False),
+    (523.25, 1e-10, 0.0, 2.0, 0.5, 440.0, False),
+    (20.0, 19999.0, 0.0, 5.0, 0.25, 20000.0, False),
+    (440.0, 880.0, 3.0, 3.0, 0.1, 440.0, False),
+    (300.0, 300.0, 0.0, 30.0, 0.15, 440.0, False),
+    (440.0, 3e-13, 0.0, 40.0, 0.37, 440.0, False),
+]
+
+
+class TestFMPathRows:
+    @pytest.mark.parametrize("block", [7, cli._BLOCK_INDICES])
+    @pytest.mark.parametrize("sweep", SWEEPS, ids=lambda s: f"fc{s[0]}-fm{s[1]}-step{s[4]}")
+    def test_rows_equal_the_one_index_chain(self, monkeypatch, sweep, block):
+        fc, fm, start, end, step, base, flip = sweep
+        monkeypatch.setattr(cli, "_BLOCK_INDICES", block)
+        grid = build_index_grid(start, end, step)
+        octave, cmf = OctaveMap(base_hz=base, flip=flip), standard_observer()
+        got = _fm_path_rows(fc, fm, grid, octave, cmf)
+        for have, want in zip(got, chain_rows(fc, fm, grid, octave, cmf)):
+            assert have.dtype == want.dtype and np.array_equal(have, want)
+
+    def test_grid_longer_than_a_block_and_not_a_multiple(self):
+        grid = build_index_grid(0.003, 16.003, 0.05)
+        assert len(grid) > cli._BLOCK_INDICES and len(grid) % cli._BLOCK_INDICES
+        octave, cmf = OctaveMap(), standard_observer()
+        got = _fm_path_rows(440.0, 880.0, grid, octave, cmf)
+        for have, want in zip(got, chain_rows(440.0, 880.0, grid, octave, cmf)):
+            assert np.array_equal(have, want)
 
 
 class TestConfigFile:
@@ -464,6 +517,20 @@ class TestEnvelopeTransferCommand:
         assert all(path.sample_count == 4 for path in g.arrow_paths)
 
 
+    def test_oversized_envelope_fails_before_any_path_is_built(self, tmp_path, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("path samples built for an oversized envelope")
+
+        monkeypatch.setattr(gesture.np, "linspace", never)
+        args = [
+            "envelope-transfer", "--color", "20A0FF", "--samples-per-segment", "10000000",
+            "--out-gesture", str(tmp_path / "g.txt"), "--out-img", str(tmp_path / "s.ppm"),
+        ]
+        assert main(args) == 2
+        assert "size guard: 40000000 path points exceeds cap 1000000" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestParserBehavior:
     def test_unknown_flag_exits_via_argparse(self):
         with pytest.raises(SystemExit):
@@ -493,6 +560,28 @@ class TestEntryPoint:
         g = parse_gesture((tmp_path / "envelope_gesture.txt").read_text())
         assert all(path.sample_count == 4 for path in g.arrow_paths)
         assert read_ppm(tmp_path / "envelope_strip.ppm").shape == (32, 512, 3)
+
+
+    def test_python_dash_m_runs_fm_path(self, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        done = subprocess.run(
+            [
+                sys.executable, "-m", "timbrecolor", "fm-path",
+                "--i-end", "1", "--i-step", "0.25", "--seg-dur", "0.01",
+            ],
+            cwd=tmp_path,
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("fm-path: 5 colors, 2205 samples")
+        rows = (tmp_path / "fm_path.csv").read_text().splitlines()
+        assert rows[0] == "I,X,Y,Z,R,G,B" and len(rows) == 6
+        assert read_wav(tmp_path / "fm_path.wav").samples.size == 5 * 441
+        assert read_ppm(tmp_path / "fm_path.ppm").shape == (32, 5 * 32, 3)
+        assert "grid_rows: 5" in (tmp_path / "fm_path.log").read_text()
 
 
 class TestSweepScript:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import octave_loop, weighted_spectrum_xyz
 from timbrecolor.color import (
+    _XYZ_TO_RGB,
     OCTAVE_TOP_NM,
     VISIBLE_MAX_NM,
     VISIBLE_MIN_NM,
@@ -17,6 +18,9 @@ from timbrecolor.color import (
     OctaveMap,
     SRGBColor,
     XYZColor,
+    _cube_rows,
+    _srgb_rows,
+    _xyz_rows,
     chromaticity,
     freq_to_wavelength,
     load_cmf,
@@ -441,6 +445,62 @@ class TestXYZToSRGB:
             SRGBColor(r=-1, g=0, b=0)
         with pytest.raises(ValueError):
             SRGBColor(r=0, g=256, b=0)
+
+
+def parent_srgb(v) -> tuple[int, int, int]:
+    """8-bit sRGB of one cube XYZ as a 3x3 matrix-vector product and Python's
+    pow per channel, the way a single color has always been converted."""
+    out = []
+    for c in np.clip(_XYZ_TO_RGB @ np.asarray(v, dtype=np.float64), 0.0, 1.0).tolist():
+        curve = 12.92 * c if c <= 0.0031308 else 1.055 * c ** (1.0 / 2.4) - 0.055
+        out.append(math.floor(255.0 * curve + 0.5))
+    return tuple(out)
+
+
+class TestRowForms:
+    """(n, 3) forms equal the one-color functions row by row, for any n."""
+
+    @pytest.fixture(scope="class")
+    def points(self) -> np.ndarray:
+        rng = np.random.default_rng(7)
+        special = [[0, 0, 0], [1, 1, 1], [0.95047, 1.0, 1.08883], [2, 1, 0.5],
+                   [-0.5, 2, 1], [-1, -2, -3], [0.002, 0.002, 0.002], [0, 1, 0.3]]
+        return np.vstack([special, rng.random((3000, 3)), 3 * rng.random((500, 3)) - 1])
+
+    def test_cube_rows_equal_project_to_cube(self, points):
+        got = _cube_rows(points)
+        want = [project_to_cube(XYZColor(*p)).as_array() for p in points.tolist()]
+        assert np.array_equal(got, want)
+        assert np.array_equal(_cube_rows(points[:1]), got[:1])
+
+    def test_srgb_rows_equal_a_per_color_product(self, points):
+        cube = _cube_rows(points)
+        got = _srgb_rows(cube)
+        assert got.dtype == np.int64
+        assert got.tolist() == [list(parent_srgb(p)) for p in cube]
+        one_by_one = [xyz_to_srgb(XYZColor(*p)) for p in cube[:50].tolist()]
+        assert [[c.r, c.g, c.b] for c in one_by_one] == got[:50].tolist()
+        for k in (1, 2, 7, 33):
+            assert np.array_equal(_srgb_rows(cube[:k]), got[:k])
+
+    def test_xyz_rows_equal_spectrum_xyz_raw(self):
+        octave, cmf = OctaveMap(base_hz=261.63, flip=True), standard_observer()
+        spectra = [fold_spectrum(fm_sidebands(300.0, 137.3, i)) for i in (0.0, 0.5, 3.0, 17.2)]
+        spectra.append(LineSpectrum([100.0, 200.0, 300.0], [0.0, -0.5, 0.0]))
+        freqs = np.concatenate([sp.frequencies for sp in spectra])
+        amps = np.concatenate([sp.amplitudes for sp in spectra])
+        counts = np.array([len(sp.amplitudes) for sp in spectra])
+        got = _xyz_rows(freqs, amps, counts, octave, cmf)
+        want = [spectrum_xyz_raw(sp, octave, cmf).as_array() for sp in spectra]
+        assert np.array_equal(got, want)
+
+    def test_xyz_rows_reject_any_degenerate_row(self):
+        with pytest.raises(DegenerateSpectrumError):
+            _xyz_rows(np.array([100.0, 200.0]), np.array([1.0, 0.0]), np.array([1, 1]),
+                      OctaveMap(), standard_observer())
+        with pytest.raises(DegenerateSpectrumError):
+            _xyz_rows(np.array([100.0]), np.array([1.0]), np.array([1, 0]),
+                      OctaveMap(), standard_observer())
 
 
 class TestChromaticity:

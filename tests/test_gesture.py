@@ -1,13 +1,17 @@
 """Digraph gestures: paths, bands, functorial mapping, serialization."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import adsr_level, gesture_text
+from timbrecolor import gesture
 from timbrecolor.gesture import (
     ENDPOINT_TOLERANCE,
+    MAX_PATH_POINTS,
     Band,
     Digraph,
     EndpointError,
@@ -88,6 +92,15 @@ class TestDigraph:
             Digraph(2.5, ())
         with pytest.raises(ValueError, match="source 0.5"):
             Digraph(2, ((0.5, 1),))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_ids_rejected_with_their_own_message(self, bad):
+        with pytest.raises(ValueError, match=f"positive integer, got {bad!r}"):
+            Digraph(bad, ())
+        with pytest.raises(ValueError, match=f"arrow 0: source {bad!r} outside 0..1"):
+            Digraph(2, ((bad, 0),))
+        with pytest.raises(ValueError, match=f"arrow 1: target {bad!r} outside 0..1"):
+            Digraph(2, ((0, 1), (0, bad)))
 
 
 class TestSampledPath:
@@ -408,6 +421,20 @@ class TestADSR:
             adsr_gesture(1.0, 0.5, [0.1, 0.0, 0.1, 0.1])
         with pytest.raises(ValueError):
             adsr_gesture(1.0, 0.5, [0.1, 0.1, 0.1, 0.1], samples_per_segment=1)
+
+    def test_path_size_guard_runs_before_any_path_is_built(self, monkeypatch):
+        class Built(Exception):
+            pass
+
+        def built(*args, **kwargs):
+            raise Built
+
+        monkeypatch.setattr(gesture.np, "linspace", built)
+        per_stage = MAX_PATH_POINTS // 4
+        with pytest.raises(Built):  # the largest allowed size gets past the guard
+            adsr_gesture(1.0, 0.5, [0.1] * 4, samples_per_segment=per_stage)
+        with pytest.raises(ValueError, match=f"size guard: {4 * per_stage + 4} path points"):
+            adsr_gesture(1.0, 0.5, [0.1] * 4, samples_per_segment=per_stage + 1)
 
 
 class TestSerialization:

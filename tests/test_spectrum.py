@@ -13,6 +13,8 @@ from timbrecolor.spectrum import (
     MERGE_TOLERANCE_HZ,
     LineSpectrum,
     SpectralLine,
+    _fold_rows,
+    _sideband_rows,
     fm_sidebands,
     fold_spectrum,
     synthesize,
@@ -243,6 +245,57 @@ class TestFoldSpectrum:
         # merged lines may sit up to the merge tolerance away from the
         # originals, so allow for that frequency drift over the window
         assert np.max(np.abs(direct - resynth)) <= 1e-7
+
+
+def bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+class TestArrayRows:
+    """Many rows at once equal one row at a time, bit for bit."""
+
+    def test_sideband_rows_are_fm_sidebands(self):
+        indices = [0.0, 5e-324, 0.37, 2.0, 13.7, 40.0]
+        freqs, amps, orders = _sideband_rows(300.0, 137.3, indices)
+        for j, index in enumerate(indices):
+            raw = fm_sidebands(300.0, 137.3, index)
+            assert len(raw) == 2 * orders[j] + 1
+            got = np.column_stack((freqs[j], amps[j]))[: len(raw)]
+            assert np.array_equal(bits(got), bits(raw))
+            assert all(type(v) is float for pair in raw for v in pair)
+
+    def test_fold_rows_equal_fold_spectrum_row_by_row(self):
+        rows = [
+            [(1000.0, 0.25), (1000.0 + 0.6e-9, 0.5), (1000.0 + 1.2e-9, 0.125)],
+            [],
+            [(-0.0, 0.4), (0.5e-9, -0.0), (1.6e-9, 0.3), (200.0, 1.0)],
+            [(500.0, 0.1), (-500.0, -0.2), (500.0, 0.3), (-700.0, -0.0)],
+            [(0.0, 0.0)],
+            [(-1e-9, 0.5), (1e-9, 0.25), (1.5e-9, -0.0)],
+            [(440.0 + n * 3e-13, 1.0 / (n + 9)) for n in range(-8, 9)],
+            [(440.0 + n * 1e-10, 1.0 / (n + 30)) for n in range(-20, 21)],
+        ]
+        width = max(map(len, rows))
+        freqs, amps = np.full((len(rows), width), 7.0), np.full((len(rows), width), 9.0)
+        for j, row in enumerate(rows):
+            freqs[j, : len(row)], amps[j, : len(row)] = np.reshape(row, (-1, 2)).T
+        f, a, counts, dc = _fold_rows(freqs, amps, np.array(list(map(len, rows))))
+        ends = np.cumsum(counts)
+        for j, row in enumerate(rows):
+            want = fold_spectrum(row)
+            part = slice(ends[j] - counts[j], ends[j])
+            assert np.array_equal(bits(f[part]), bits(want.frequencies)), j
+            assert np.array_equal(bits(a[part]), bits(want.amplitudes)), j
+            assert bits(dc[j]) == bits(want.dc_term), j
+
+    def test_fold_rows_report_the_first_bad_line_in_row_order(self):
+        freqs = np.array([[1.0, 2.0, np.inf], [np.inf, 1.0, 2.0]])
+        amps = np.array([[1.0, np.nan, 1.0], [1.0, 1.0, 1.0]])
+        with pytest.raises(ValueError, match=r"raw line \(2.0, nan\) is not finite"):
+            _fold_rows(freqs, amps, np.array([3, 3]))
+        # padding past a row's count is never read
+        f, _a, counts, _dc = _fold_rows(freqs, amps, np.array([1, 0]))
+        assert f.tolist() == [1.0] and counts.tolist() == [1, 0]
 
 
 class TestSynthesize:

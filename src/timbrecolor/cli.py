@@ -32,8 +32,8 @@ from .color import spectrum_to_xyz, standard_observer, xyz_to_srgb
 from .gesture import adsr_gesture, map_gesture, serialize_gesture
 from .ppm import write_ppm
 from .spectrum import LineSpectrum, _fold_rows, _sideband_rows
-from .synth import _check_size, _segment_samples, analyze_harmonics, render_fm_path
-from .wavefile import read_wav, write_wav
+from .synth import _check_size, _fm_path_blocks, _segment_samples, analyze_harmonics
+from .wavefile import _write_pcm16, read_wav
 
 __all__ = ["main"]
 
@@ -269,8 +269,8 @@ def _run_fm_path(args: argparse.Namespace) -> int:
     cmf = standard_observer()
     xyz, rgb, orders, weights = _fm_path_rows(s["fc"], s["fm"], grid, octave, cmf)
 
-    wave = render_fm_path(s["fc"], s["fm"], grid, s["seg_dur"], s["rate"])
-    write_wav(wave, s["out_wav"])
+    total, blocks = _fm_path_blocks(s["fc"], s["fm"], grid, s["seg_dur"], s["rate"])
+    _write_pcm16(s["out_wav"], s["rate"], total, blocks)
 
     with _csv_open(s["out_csv"]) as fh:
         fh.write("I,X,Y,Z,R,G,B\n")
@@ -290,16 +290,16 @@ def _run_fm_path(args: argparse.Namespace) -> int:
                 fh.write(f"{key}: {s[key]}\n")
         fh.write(f"grid_rows: {len(grid)}\n")
         fh.write(f"segment_samples: {seg}\n")
-        fh.write(f"total_samples: {len(wave.samples)}\n")
-        fh.write(f"duration_sec: {wave.duration_sec:.6f}\n")
+        fh.write(f"total_samples: {total}\n")
+        fh.write(f"duration_sec: {total / s['rate']:.6f}\n")
         for index, order, weight in zip(grid, orders.tolist(), weights.tolist()):
             fh.write(f"I={index:.6f} N={order} weight_sum={weight:.9f}\n")
         fh.write(f"max_adjacent_srgb_distance: {max_adjacent:.6f}\n")
         fh.write(f"full_span_srgb_distance: {span:.6f}\n")
 
     print(
-        f"fm-path: {len(grid)} colors, {len(wave.samples)} samples "
-        f"({wave.duration_sec:.3f} s) -> {s['out_wav']}, {s['out_csv']}, "
+        f"fm-path: {len(grid)} colors, {total} samples "
+        f"({total / s['rate']:.3f} s) -> {s['out_wav']}, {s['out_csv']}, "
         f"{s['out_img']}, {log_path}"
     )
     return 0

@@ -5,7 +5,8 @@ modulation indices keeps carrier and modulator phase continuous across
 segment boundaries by evaluating every segment on the shared global
 time axis; with fixed fc and fm that is exactly the accumulated phase,
 so the only discontinuity a boundary can introduce is the index step
-itself, and that stays inaudible for small steps.
+itself, and that stays inaudible for small steps.  A sweep comes out in
+fixed-size blocks, so fm-path's memory does not grow with its length.
 
 Analysis inverts synthesis for periodic signals: project onto sine and
 cosine at integer multiples of a known fundamental over a window holding
@@ -41,7 +42,9 @@ __all__ = [
 ]
 
 AMPLITUDE_FLOOR = 1e-6
+# fm-path streams in blocks: this caps its time and disk, not its memory
 MAX_RENDER_SAMPLES = 100_000_000
+_BLOCK_SAMPLES = 2**16  # samples per block of _fm_path_blocks
 _MIN_ANALYSIS_PERIODS = 10
 _TWO_PI = 2.0 * math.pi
 
@@ -154,24 +157,11 @@ def render_fm_wave(
     return SampledWave(sample_rate=rate, samples=samples)
 
 
-def render_fm_path(
-    carrier_hz: float,
-    modulator_hz: float,
-    index_grid: list[float] | np.ndarray,
-    segment_duration_sec: float,
-    sample_rate: int,
-) -> SampledWave:
-    """Render one segment per modulation index, phase continuous throughout.
-
-    Each segment covers its half-open time slice on the global clock, so
-    carrier and modulator phases accumulate exactly across boundaries.
-    High indices are rendered as given even when their faintest sidebands
-    pass Nyquist; the energy-significant content of the sweep range stays
-    in band at ordinary rates and the sweep is the product being studied.
-    """
+def _fm_path_blocks(carrier_hz, modulator_hz, index_grid, segment_duration_sec, sample_rate) -> tuple:
+    """Check a sweep as render_fm_path does, then return its sample count and its
+    samples as float64 blocks of _BLOCK_SAMPLES (the last may be shorter)."""
     rate = _validate_rate(sample_rate)
-    fc = float(carrier_hz)
-    fm = float(modulator_hz)
+    fc, fm = float(carrier_hz), float(modulator_hz)
     if not (math.isfinite(fc) and 0.0 < fc < rate / 2.0):
         raise ValueError(f"carrier must lie in (0, Nyquist), got {carrier_hz!r}")
     if not (math.isfinite(fm) and 0.0 < fm < rate / 2.0):
@@ -185,13 +175,41 @@ def render_fm_path(
     if grid[0] < 0.0:
         raise ValueError(f"modulation indices must be >= 0, got {grid[0]}")
     seg = _segment_samples(segment_duration_sec, rate)
-    _check_size(seg * len(grid))
+    total = seg * len(grid)
+    _check_size(total)
 
-    out = np.empty(seg * len(grid), dtype=np.float64)
-    for j, index in enumerate(grid):
-        t = np.arange(j * seg, (j + 1) * seg, dtype=np.float64) / rate
-        out[j * seg : (j + 1) * seg] = fm_sample(FMParams(fc, fm, index), t)
-    return SampledWave(sample_rate=rate, samples=out)
+    def blocks():
+        for start in range(0, total, _BLOCK_SAMPLES):
+            stop = min(start + _BLOCK_SAMPLES, total)
+            block = np.empty(stop - start, dtype=np.float64)
+            for j in range(start // seg, (stop - 1) // seg + 1):
+                lo, hi = max(start, j * seg), min(stop, (j + 1) * seg)
+                t = np.arange(lo, hi, dtype=np.float64) / rate
+                block[lo - start : hi - start] = fm_sample(FMParams(fc, fm, grid[j]), t)
+            yield block
+
+    return total, blocks()
+
+
+def render_fm_path(
+    carrier_hz: float, modulator_hz: float, index_grid: list[float] | np.ndarray,
+    segment_duration_sec: float, sample_rate: int,
+) -> SampledWave:
+    """Render one segment per modulation index, phase continuous throughout.
+
+    Each segment covers its half-open time slice on the global clock, so
+    carrier and modulator phases accumulate exactly across boundaries.
+    High indices are rendered as given even when their faintest sidebands
+    pass Nyquist; the energy-significant content of the sweep range stays
+    in band at ordinary rates and the sweep is the product being studied.
+    """
+    total, blocks = _fm_path_blocks(
+        carrier_hz, modulator_hz, index_grid, segment_duration_sec, sample_rate
+    )
+    out = np.empty(total, dtype=np.float64)
+    for k, block in enumerate(blocks):
+        out[k * _BLOCK_SAMPLES :][: len(block)] = block
+    return SampledWave(sample_rate=_validate_rate(sample_rate), samples=out)
 
 
 def _analysis_window(

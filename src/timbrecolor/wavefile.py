@@ -29,28 +29,35 @@ class WavFormatError(ValueError):
 
 def write_wav(wave: SampledWave, path: str | Path) -> None:
     """Write samples as 16-bit PCM mono; inputs must lie in [-1, 1]."""
-    samples = wave.samples
-    if samples.size and float(np.max(np.abs(samples))) > 1.0:
+    _write_pcm16(path, wave.sample_rate, len(wave.samples), [wave.samples])
+
+
+def _pcm16(block: np.ndarray) -> bytes:
+    if not np.all(np.abs(block) <= 1.0):  # a NaN fails the comparison too
         raise ValueError("samples exceed [-1, 1]; normalize before writing")
-    quantized = np.floor(samples * _SCALE + 0.5).astype("<i2")
-    data = quantized.tobytes()
+    return np.floor(block * _SCALE + 0.5).astype("<i2").tobytes()
+
+
+def _write_pcm16(path: str | Path, rate: int, count: int, blocks) -> None:
+    """Write count samples, given as float64 blocks, header first.  The file
+    is opened once the first block passes its check, so a bad first block
+    leaves a file at path as it was; a later failure removes the new file."""
     header = struct.pack(
-        "<4sI4s4sIHHIIHH4sI",
-        b"RIFF",
-        36 + len(data),
-        b"WAVE",
-        b"fmt ",
-        16,
-        _PCM_FORMAT,
-        _CHANNELS,
-        wave.sample_rate,
-        wave.sample_rate * _CHANNELS * (_BITS // 8),
-        _CHANNELS * (_BITS // 8),
-        _BITS,
-        b"data",
-        len(data),
+        "<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + 2 * count, b"WAVE", b"fmt ", 16,
+        _PCM_FORMAT, _CHANNELS, rate, rate * _CHANNELS * (_BITS // 8),
+        _CHANNELS * (_BITS // 8), _BITS, b"data", 2 * count,
     )
-    Path(path).write_bytes(header + data)
+    pieces = map(_pcm16, blocks)
+    first = next(pieces, b"")
+    fh = open(path, "wb")
+    try:
+        with fh:  # inside the try: a failed flush on close also removes the file
+            fh.write(header + first)
+            fh.writelines(pieces)
+    except BaseException:
+        if Path(path).is_file() and not Path(path).is_symlink():  # not /dev/stdout
+            Path(path).unlink()
+        raise
 
 
 def _scan_chunks(blob: bytes) -> dict[bytes, bytes]:

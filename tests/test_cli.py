@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,13 @@ from timbrecolor.color import (
 from timbrecolor.gesture import parse_gesture
 from timbrecolor.ppm import read_ppm
 from timbrecolor.spectrum import fm_sidebands, fold_spectrum
-from timbrecolor.synth import FMParams, SampledWave, analyze_harmonics, render_fm_wave
+from timbrecolor.synth import (
+    FMParams,
+    SampledWave,
+    analyze_harmonics,
+    render_fm_path,
+    render_fm_wave,
+)
 from timbrecolor.wavefile import read_wav, write_wav
 
 
@@ -234,6 +241,53 @@ class TestFMPathCommand:
         ]
         assert main(args) == 2
         assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestStreamedWav:
+    @pytest.mark.parametrize(
+        "i_start, i_end, seg_dur, rate",
+        [
+            (0.0, 1.0, 0.02, 44100),  # 4410 samples, less than one block
+            (0.0, 1.75, 24576 / 44100, 44100),  # exactly 3 blocks
+            (0.0, 1.0, 1.5, 44100),  # 66150-sample segments, longer than a block
+            (3.0, 3.0, 2.0, 44100),  # a single index
+            (0.0, 1.0, 3.0, 8000),
+        ],
+    )
+    def test_streamed_file_equals_the_one_buffer_write(self, tmp_path, i_start, i_end, seg_dur, rate):
+        run_fm_path(
+            tmp_path, "--i-start", repr(i_start), "--i-end", repr(i_end),
+            "--seg-dur", repr(seg_dur), "--rate", str(rate),
+        )
+        wave = render_fm_path(440.0, 880.0, build_index_grid(i_start, i_end, 0.25), seg_dur, rate)
+        write_wav(wave, tmp_path / "one.wav")
+        assert (tmp_path / "p.wav").read_bytes() == (tmp_path / "one.wav").read_bytes()
+        log = (tmp_path / "p.log").read_text().splitlines()
+        assert f"total_samples: {len(wave.samples)}" in log
+        assert f"duration_sec: {wave.duration_sec:.6f}" in log
+
+    def test_peak_memory_stays_far_below_the_whole_sweep(self, tmp_path):
+        # 41 segments of 44100 samples: the whole sweep in float64 is 14.4 MB
+        whole = 41 * 44100 * 8
+        tracemalloc.start()
+        try:
+            run_fm_path(tmp_path, "--i-end", "20", "--i-step", "0.5", "--seg-dur", "1.0")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert read_wav(tmp_path / "p.wav").samples.size == 41 * 44100
+        assert peak < whole / 4
+
+    def test_carrier_above_nyquist_writes_no_wav(self, tmp_path, capsys):
+        args = [
+            "fm-path", "--fc", "30000",
+            "--out-wav", str(tmp_path / "p.wav"),
+            "--out-img", str(tmp_path / "p.ppm"),
+            "--out-csv", str(tmp_path / "p.csv"),
+        ]
+        assert main(args) == 2
+        assert capsys.readouterr().err == "error: carrier must lie in (0, Nyquist), got 30000.0\n"
         assert list(tmp_path.iterdir()) == []
 
 

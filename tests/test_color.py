@@ -32,7 +32,7 @@ from timbrecolor.color import (
     wavelength_to_xyz,
     xyz_to_srgb,
 )
-from timbrecolor.spectrum import LineSpectrum, fm_sidebands, fold_spectrum
+from timbrecolor.spectrum import LineSpectrum, _fold_rows, _sideband_rows, fm_sidebands, fold_spectrum
 
 
 ARRAY_BASES = [20.0, 261.63, 440.0, 333.3333, 20000.0]
@@ -43,11 +43,12 @@ def octave_inputs() -> np.ndarray:
     """Sweep lines, octave edges, extremes and random magnitudes."""
     values = [5e-324, 2.2250738585072014e-308, 1.7e308, np.finfo(float).max]
     # every folded line of the 2001-index fine sweep (fc 440, fm 880) and of
-    # an incommensurate one
+    # an incommensurate one, each in one array pass (bit for bit the
+    # fold_spectrum(fm_sidebands(...)) chain per index, see test_spectrum)
     for fc, fm, indices in ((440.0, 880.0, 0.0037 + 0.01 * np.arange(2001)),
                             (100.0, 137.3, np.arange(0.0, 100.0, 0.5))):
-        for index in indices:
-            values.extend(fold_spectrum(fm_sidebands(fc, fm, index)).frequencies)
+        freqs, amps, orders = _sideband_rows(fc, fm, indices)
+        values.extend(_fold_rows(freqs, amps, 2 * orders + 1)[0])
     for base in ARRAY_BASES:
         for edge in (base, 2.0 * base, 4.0 * base, 0.5 * base):
             values += [edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf)]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import harmonic_coefficients
+from timbrecolor import synth
 from timbrecolor.spectrum import fm_sidebands, fold_spectrum, synthesize
 from timbrecolor.synth import (
     AMPLITUDE_FLOOR,
@@ -162,6 +163,56 @@ class TestRenderFMPath:
     def test_segment_duration_validation(self):
         with pytest.raises(ValueError):
             render_fm_path(440.0, 880.0, [0.0, 1.0], 1e-9, RATE)
+
+
+def segment_loop(fc, fm, grid, seg, rate):
+    """The one-buffer render: one fm_sample call per whole segment."""
+    out = np.empty(seg * len(grid))
+    for j, index in enumerate(grid):
+        t = np.arange(j * seg, (j + 1) * seg, dtype=np.float64) / rate
+        out[j * seg : (j + 1) * seg] = fm_sample(FMParams(fc, fm, index), t)
+    return out
+
+
+class TestFMPathBlocks:
+    BLOCK = synth._BLOCK_SAMPLES
+
+    @pytest.mark.parametrize(
+        "grid, seg_dur, rate",
+        [
+            ([0.0, 0.5, 1.0], 0.05, RATE),  # smaller than one block
+            ([0.25 * k for k in range(8)], 24576 / RATE, RATE),  # exactly 3 blocks
+            ([0.0, 0.5, 1.0], 1.5, RATE),  # segments longer than a block
+            ([3.0], 2.0, RATE),  # one index
+            ([0.0, 0.5, 1.0, 1.5, 2.0], 3.0, 8000),
+        ],
+    )
+    def test_blocks_end_to_end_equal_the_segment_loop(self, grid, seg_dur, rate):
+        total, blocks = synth._fm_path_blocks(440.0, 880.0, grid, seg_dur, rate)
+        blocks = list(blocks)
+        seg = int(round(seg_dur * rate))
+        assert total == seg * len(grid)
+        assert [len(b) for b in blocks[:-1]] == [self.BLOCK] * (len(blocks) - 1)
+        assert 0 < len(blocks[-1]) <= self.BLOCK
+        assert all(b.dtype == np.float64 for b in blocks)
+        want = segment_loop(440.0, 880.0, grid, seg, rate)
+        assert np.concatenate(blocks).tobytes() == want.tobytes()
+        assert render_fm_path(440.0, 880.0, grid, seg_dur, rate).samples.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((30000.0, 880.0, [0.0], 0.1, RATE), "carrier must lie in"),
+            ((440.0, 880.0, [1.0, 0.5], 0.1, RATE), "must ascend"),
+            ((440.0, 880.0, [0.0, 1.0, 2.0], 1000.0, RATE), "size guard"),
+        ],
+    )
+    def test_checks_run_before_the_iterator_is_returned(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            synth._fm_path_blocks(*args)
+
+    def test_the_render_cap_is_unchanged(self):
+        assert synth.MAX_RENDER_SAMPLES == 100_000_000
 
 
 class TestSampledWave:

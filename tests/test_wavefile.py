@@ -6,8 +6,9 @@ import wave as stdlib_wave
 import numpy as np
 import pytest
 
+from timbrecolor import wavefile
 from timbrecolor.synth import SampledWave
-from timbrecolor.wavefile import WavFormatError, read_wav, write_wav
+from timbrecolor.wavefile import WavFormatError, _write_pcm16, read_wav, write_wav
 
 
 def pcm16_file(
@@ -71,6 +72,72 @@ class TestRoundTrip:
         wave = SampledWave(sample_rate=8000, samples=np.array([0.0, 1.5]))
         with pytest.raises(ValueError, match="normalize"):
             write_wav(wave, tmp_path / "clip.wav")
+
+
+class TestBlockWriter:
+    def test_blocks_write_the_bytes_of_one_buffer(self, tmp_path):
+        samples = np.random.default_rng(5).uniform(-1.0, 1.0, 1000)
+        write_wav(SampledWave(sample_rate=8000, samples=samples), tmp_path / "one.wav")
+        _write_pcm16(tmp_path / "many.wav", 8000, 1000, np.split(samples, [0, 1, 300, 999]))
+        assert (tmp_path / "many.wav").read_bytes() == (tmp_path / "one.wav").read_bytes()
+
+    def test_empty_wave_is_a_bare_header(self, tmp_path):
+        write_wav(SampledWave(sample_rate=8000, samples=np.zeros(0)), tmp_path / "e.wav")
+        assert (tmp_path / "e.wav").stat().st_size == 44
+        assert read_wav(tmp_path / "e.wav").samples.size == 0
+
+    def test_bad_samples_leave_an_existing_file_untouched(self, tmp_path):
+        path = tmp_path / "keep.wav"
+        path.write_bytes(b"previous contents")
+        wave = SampledWave(sample_rate=8000, samples=np.array([0.0, 1.5]))
+        with pytest.raises(ValueError, match=r"^samples exceed \[-1, 1\]; normalize before writing$"):
+            write_wav(wave, path)
+        assert path.read_bytes() == b"previous contents"
+
+    @pytest.mark.parametrize("bad", [1.0000001, -2.0, np.nan, np.inf])
+    def test_a_bad_later_block_removes_the_partial_file(self, tmp_path, bad):
+        path = tmp_path / "partial.wav"
+        path.write_bytes(b"previous contents")
+        blocks = [np.zeros(4), np.array([0.5, bad])]
+        with pytest.raises(ValueError, match=r"^samples exceed \[-1, 1\]; normalize before writing$"):
+            _write_pcm16(path, 8000, 6, blocks)
+        assert not path.exists()
+
+    def test_an_interrupted_write_removes_the_partial_file(self, tmp_path):
+        def blocks():
+            yield np.zeros(4)
+            raise KeyboardInterrupt
+
+        path = tmp_path / "stopped.wav"
+        with pytest.raises(KeyboardInterrupt):
+            _write_pcm16(path, 8000, 8, blocks())
+        assert not path.exists()
+
+    def test_a_failed_close_removes_the_file(self, tmp_path, monkeypatch):
+        def open_on_a_full_disk(path, mode):
+            fh = open(path, mode)
+            real_close = fh.close
+
+            def close():
+                real_close()
+                raise OSError(28, "No space left on device")
+
+            fh.close = close
+            return fh
+
+        monkeypatch.setattr(wavefile, "open", open_on_a_full_disk, raising=False)
+        path = tmp_path / "full.wav"
+        with pytest.raises(OSError, match="No space left"):
+            _write_pcm16(path, 8000, 4, [np.zeros(4)])
+        assert not path.exists()
+
+    def test_a_symlink_is_not_removed(self, tmp_path):
+        target = tmp_path / "target.wav"
+        link = tmp_path / "link.wav"
+        link.symlink_to(target)
+        with pytest.raises(ValueError):
+            _write_pcm16(link, 8000, 6, [np.zeros(4), np.array([2.0, 0.0])])
+        assert link.is_symlink()
 
 
 class TestAgainstStdlibWave:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .color import ColorMatchingTable, OctaveMap, _cube_rows, _srgb_rows, _xyz_rows
 from .color import spectrum_to_xyz, standard_observer, xyz_to_srgb
-from .gesture import adsr_gesture, map_gesture, serialize_gesture
+from .gesture import _gesture_text, _map_rows, adsr_gesture
 from .ppm import write_ppm
 from .spectrum import LineSpectrum, _fold_rows, _sideband_rows
 from .synth import _check_size, _fm_path_blocks, _segment_samples, analyze_harmonics
@@ -356,13 +356,10 @@ def _run_envelope_transfer(args: argparse.Namespace) -> int:
     )
 
     scale = np.array(base_rgb, dtype=np.float64)
-
-    def amplitude_to_color(point: np.ndarray) -> np.ndarray:
-        # (time, amplitude) -> amplitude-scaled base color, black at zero
-        return point[1] * scale
-
-    colorized = map_gesture(amplitude_to_color, envelope)
-    Path(s["out_gesture"]).write_text(serialize_gesture(colorized), encoding="ascii")
+    # (time, amplitude) rows -> amplitude-scaled base color, black at zero
+    colorized = _map_rows(lambda pts, _label: pts[:, 1:2] * scale, envelope)
+    with _csv_open(s["out_gesture"]) as fh:
+        fh.writelines(_gesture_text(colorized))
 
     # strip column x shows the envelope at the centre of its time slot
     times, levels = envelope.vertex_points.T

@@ -6,7 +6,8 @@ at its target's.  Mapping every point through a function f yields
 another gesture on the same digraph, and this mapping respects identity
 and composition at the sample level, so gesture-valued constructions
 can be pushed between spaces (for example, amplitude-time envelopes
-into color space) without re-deriving the combinatorics.
+into color space) without re-deriving the combinatorics.  The functor
+is applied to whole arrays of rows; map_gesture's point form is one caller.
 
 Bands are sampled fixed-endpoint homotopies between two paths: a stack
 of rows interpolating from one boundary path to the other while pinning
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,8 +43,9 @@ __all__ = [
 ]
 
 ENDPOINT_TOLERANCE = 1e-9
-# adsr_gesture's path size cap; envelope-transfer peaks near 1.1 GB at 10**6 points
+# adsr_gesture's path size cap; envelope-transfer peaks near 70 MB RSS at 10**6 points
 MAX_PATH_POINTS = 1_000_000
+_TEXT_ROWS = 4096  # path lines per %-format in _gesture_text
 
 
 class EndpointError(ValueError):
@@ -284,22 +286,28 @@ def map_path(f: PointMap, path: SampledPath) -> SampledPath:
     return SampledPath(points=_map_points(f, path.points, "sample"))
 
 
-def map_gesture(f: PointMap, gesture: Gesture) -> Gesture:
-    """Apply f to all vertex points and path samples; same digraph.
-
-    Vertices map first, then each arrow's samples (errors prefixed
-    'arrow {idx}: ').  Endpoints survive because a path endpoint and its
-    vertex point are the same input to the same deterministic f; the
-    Gesture constructor checks them again anyway.
-    """
-    vertices = _map_points(f, gesture.vertex_points, "vertex")
+def _map_rows(f_rows: Callable[[np.ndarray, str], np.ndarray], gesture: Gesture) -> Gesture:
+    """The functor on whole arrays: f_rows(points, label) maps (n, d) rows to
+    (n, e); vertices first, then each arrow, errors prefixed 'arrow {idx}: '."""
+    vertices = f_rows(gesture.vertex_points, "vertex")
     paths = []
     for idx, path in enumerate(gesture.arrow_paths):
         try:
-            paths.append(map_path(f, path))
+            paths.append(SampledPath(points=f_rows(path.points, "sample")))
         except ValueError as exc:
             raise ValueError(f"arrow {idx}: {exc}") from exc
     return Gesture(gesture.digraph, vertices, tuple(paths))
+
+
+def map_gesture(f: PointMap, gesture: Gesture) -> Gesture:
+    """Apply f to all vertex points and path samples; same digraph.
+
+    The point form of the functor on whole arrays: f is called once per
+    row, vertices first, then each arrow's samples (errors prefixed
+    'arrow {idx}: ').  Endpoints survive: a path endpoint and its vertex
+    point are the same input to the same deterministic f.
+    """
+    return _map_rows(lambda points, label: _map_points(f, points, label), gesture)
 
 
 def adsr_gesture(
@@ -344,21 +352,25 @@ def adsr_gesture(
     return make_gesture(digraph, vertices, paths)
 
 
+def _gesture_text(gesture: Gesture) -> Iterator[str]:
+    """serialize_gesture in pieces, each path in blocks of _TEXT_ROWS lines
+    written by one %-format (%r of a Python float is its repr)."""
+    digraph, line = gesture.digraph, " ".join(["%r"] * gesture.dimension) + "\n"
+    yield f"digraph {digraph.vertex_count} {len(digraph.arrows)}\n"
+    yield "".join(f"a {src} {dst}\n" for src, dst in digraph.arrows)
+    yield ("v " + line) * digraph.vertex_count % tuple(gesture.vertex_points.ravel().tolist())
+    for idx, path in enumerate(gesture.arrow_paths):
+        yield f"p {idx} {path.sample_count}\n"
+        for block in np.split(path.points, range(_TEXT_ROWS, path.sample_count, _TEXT_ROWS)):
+            yield line * len(block) % tuple(block.ravel().tolist())
+
+
 def serialize_gesture(gesture: Gesture) -> str:
     """Line-oriented text form; see parse_gesture for the grammar.
 
     Coordinates are written as repr(float), so parsing is exact.
     """
-    out = [f"digraph {gesture.digraph.vertex_count} {len(gesture.digraph.arrows)}"]
-    out.extend(f"a {src} {dst}" for src, dst in gesture.digraph.arrows)
-    out.extend(
-        "v " + " ".join(map(repr, row)) for row in gesture.vertex_points.tolist()
-    )
-    for idx, path in enumerate(gesture.arrow_paths):
-        out.append(f"p {idx} {path.sample_count}")
-        # one row at a time: a whole-path tolist() holds every float at once
-        out.extend(" ".join(map(repr, row.tolist())) for row in path.points)
-    return "\n".join(out) + "\n"
+    return "".join(_gesture_text(gesture))
 
 
 def parse_gesture(text: str) -> Gesture:

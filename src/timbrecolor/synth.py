@@ -81,6 +81,7 @@ class SampledWave:
             raise ValueError(f"samples must be one dimensional, got shape {arr.shape}")
         if arr.size and not np.all(np.isfinite(arr)):
             raise ValueError("samples must be finite")
+        object.__setattr__(self, "sample_rate", int(self.sample_rate))  # 8000.0 -> 8000
         object.__setattr__(self, "samples", arr)
 
     @property

@@ -570,6 +570,18 @@ class TestEnvelopeTransferCommand:
         g = parse_gesture((tmp_path / "g.txt").read_text())
         assert all(path.sample_count == 4 for path in g.arrow_paths)
 
+    def test_peak_memory_is_a_small_multiple_of_the_path_arrays(self, tmp_path):
+        samples = 50_000
+        # four arrows, (time, amplitude) paths in and RGB paths out, float64
+        path_bytes = 4 * samples * (2 + 3) * 8
+        tracemalloc.start()
+        try:
+            self.run(tmp_path, "--samples-per-segment", str(samples))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "g.txt").stat().st_size > path_bytes  # more text than paths
+        assert peak < 1.5 * path_bytes
 
     def test_oversized_envelope_fails_before_any_path_is_built(self, tmp_path, monkeypatch, capsys):
         def never(*args, **kwargs):

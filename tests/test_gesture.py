@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from oracles import adsr_level, gesture_text
 from timbrecolor import gesture
+from timbrecolor.cli import main
 from timbrecolor.gesture import (
+    _TEXT_ROWS,
     ENDPOINT_TOLERANCE,
     MAX_PATH_POINTS,
     Band,
@@ -18,6 +20,7 @@ from timbrecolor.gesture import (
     Gesture,
     GestureFormatError,
     SampledPath,
+    _map_rows,
     adsr_gesture,
     concatenate,
     constant_path,
@@ -383,6 +386,88 @@ class TestMapping:
             assert np.array_equal(a.points, b.points)
 
 
+# one elementwise map in point form and in row form: the same IEEE operations
+def f_point(q):
+    return np.array([q[0] + q[1], q[0] - q[1], 2.0 * q[0]])
+
+
+def f_rows(p, _label):
+    return np.column_stack((p[:, 0] + p[:, 1], p[:, 0] - p[:, 1], 2.0 * p[:, 0]))
+
+
+def h_point(q):
+    return q[:2] * 3.0
+
+
+def h_rows(p, _label):
+    return p[:, :2] * 3.0
+
+
+def assert_same_gesture(a, b):
+    assert a.digraph == b.digraph
+    assert np.array_equal(a.vertex_points, b.vertex_points)
+    assert len(a.arrow_paths) == len(b.arrow_paths)
+    for x, y in zip(a.arrow_paths, b.arrow_paths):
+        assert np.array_equal(x.points, y.points)
+
+
+class TestRowForm:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_identity_and_composition_laws(self, seed):
+        g = random_gesture(np.random.default_rng(seed))
+        assert_same_gesture(_map_rows(lambda p, _label: p, g), g)
+        once = _map_rows(lambda p, label: h_rows(f_rows(p, label), label), g)
+        assert_same_gesture(once, _map_rows(h_rows, _map_rows(f_rows, g)))
+        # and the row form is the point form, bit for bit
+        assert_same_gesture(once, map_gesture(lambda q: h_point(f_point(q)), g))
+        assert_same_gesture(_map_rows(f_rows, g), map_gesture(f_point, g))
+
+    def test_vertices_map_first_then_each_arrow_whole(self):
+        g = random_gesture(np.random.default_rng(3))
+        calls = []
+
+        def record(p, label):
+            calls.append((label, p.shape[0]))
+            return p
+
+        _map_rows(record, g)
+        assert calls == [("vertex", g.digraph.vertex_count)] + [
+            ("sample", path.sample_count) for path in g.arrow_paths
+        ]
+
+    def test_failures_name_the_arrow(self):
+        d = Digraph(vertex_count=3, arrows=((0, 1), (1, 2)))
+        vertices = np.array([[0.0], [1.0], [2.0]])
+        g = make_gesture(d, vertices, [path_between(vertices[s], vertices[t]) for s, t in d.arrows])
+
+        def fails_past_one(p, label):
+            if label == "sample" and p[-1, 0] > 1.0:
+                raise ValueError("boom")
+            return p
+
+        with pytest.raises(ValueError, match="^arrow 1: boom$"):
+            _map_rows(fails_past_one, g)
+        with pytest.raises(ValueError, match="^arrow 0: path points must be finite$"):
+            _map_rows(lambda p, label: p if label == "vertex" else p + np.inf, g)
+        with pytest.raises(EndpointError, match="^arrow 0: path starts at"):
+            _map_rows(lambda p, label: p if label == "vertex" else p + 1.0, g)
+
+    @pytest.mark.parametrize("samples", [16, 4097, 100_000])
+    def test_cli_text_equals_the_point_form(self, tmp_path, samples):
+        out = tmp_path / "g.txt"
+        argv = [
+            "envelope-transfer", "--color", "3b7fc2", "--sustain-level", "0.37",
+            "--samples-per-segment", str(samples),
+            "--out-gesture", str(out), "--out-img", str(tmp_path / "s.ppm"),
+        ]
+        assert main(argv) == 0
+        scale = np.array([0x3B, 0x7F, 0xC2], dtype=np.float64)
+        envelope = adsr_gesture(1.0, 0.37, [0.05, 0.15, 0.4, 0.3], samples)
+        want = serialize_gesture(map_gesture(lambda q: q[1] * scale, envelope))
+        assert out.read_bytes() == want.encode("ascii")
+
+
 class TestADSR:
     def test_vertices_and_arrows(self):
         g = adsr_gesture(1.0, 0.6, [0.1, 0.2, 0.5, 0.25], samples_per_segment=4)
@@ -482,6 +567,23 @@ class TestSerialization:
         back = parse_gesture(text)
         assert np.array_equal(back.arrow_paths[0].points, path.points)
         assert np.signbit(back.vertex_points[0, 0])
+
+    @pytest.mark.parametrize("samples", [_TEXT_ROWS - 1, _TEXT_ROWS, _TEXT_ROWS + 1, 10_000])
+    def test_text_blocks_match_the_oracle(self, samples):
+        awkward = [-0.0, 5e-324, 1e-07, 1e16, 1e300]
+        rng = np.random.default_rng(samples)
+        points = np.where(
+            rng.random((samples, 3)) < 0.5,
+            rng.choice(awkward, size=(samples, 3)) * rng.choice([1.0, -1.0], size=(samples, 3)),
+            rng.uniform(-9.0, 9.0, size=(samples, 3)),
+        )
+        d = Digraph(vertex_count=2, arrows=((0, 1), (1, 0)))
+        vertices = points[[0, -1]]
+        paths = [SampledPath(points=points), SampledPath(points=points[::-1])]
+        g = make_gesture(d, vertices, paths)
+        text = serialize_gesture(g)
+        assert text == gesture_text(2, d.arrows, vertices, [p.points for p in paths])
+        assert set(text.split()) >= {"-0.0", "5e-324", "1e-07", "1e+16", "1e+300"}
 
     def test_adsr_roundtrip(self):
         g = adsr_gesture(1.0, 0.7, [0.05, 0.15, 0.4, 0.3])

@@ -68,6 +68,13 @@ class TestRoundTrip:
         raw = np.frombuffer(path.read_bytes()[44:], dtype="<i2")
         assert list(raw) == [32767, -32767, 0]
 
+    def test_integral_float_rate_writes_the_integer_rate_file(self, tmp_path):
+        wave = SampledWave(sample_rate=8000.0, samples=np.zeros(4))
+        assert type(wave.sample_rate) is int
+        write_wav(wave, tmp_path / "float.wav")
+        write_wav(SampledWave(sample_rate=8000, samples=np.zeros(4)), tmp_path / "int.wav")
+        assert (tmp_path / "float.wav").read_bytes() == (tmp_path / "int.wav").read_bytes()
+
     def test_rejects_out_of_range_samples(self, tmp_path):
         wave = SampledWave(sample_rate=8000, samples=np.array([0.0, 1.5]))
         with pytest.raises(ValueError, match="normalize"):

@@ -249,9 +249,10 @@ def _full_span_distance(rgb: np.ndarray) -> float:
 
     Compares distinct colors one row of integer differences at a time, so
     memory stays linear; sqrt is monotone, so one sqrt of the largest
-    squared distance equals the largest pairwise distance.
+    squared distance equals the largest pairwise distance.  A set finds
+    the distinct colors: np.unique(axis=0) would import numpy.ma.
     """
-    points = np.unique(np.asarray(rgb, dtype=np.int64).reshape(-1, 3), axis=0)
+    points = np.array(sorted(set(map(tuple, np.asarray(rgb).tolist())))).reshape(-1, 3)
     widest = 0
     for i in range(len(points) - 1):
         squares = np.sum((points[i + 1 :] - points[i]) ** 2, axis=1)

@@ -6,7 +6,8 @@ segment boundaries by evaluating every segment on the shared global
 time axis; with fixed fc and fm that is exactly the accumulated phase,
 so the only discontinuity a boundary can introduce is the index step
 itself, and that stays inaudible for small steps.  A sweep comes out in
-fixed-size blocks, so fm-path's memory does not grow with its length.
+fixed-size blocks, each one in-place FM evaluation with a per-sample
+index, so fm-path's memory does not grow with its length.
 
 Analysis inverts synthesis for periodic signals: project onto sine and
 cosine at integer multiples of a known fundamental over a window holding
@@ -74,14 +75,12 @@ class SampledWave:
     samples: np.ndarray
 
     def __post_init__(self) -> None:
-        if int(self.sample_rate) != self.sample_rate or self.sample_rate < 1:
-            raise ValueError(f"sample rate must be a positive integer, got {self.sample_rate!r}")
+        object.__setattr__(self, "sample_rate", _validate_rate(self.sample_rate))  # 8000.0 -> 8000
         arr = np.asarray(self.samples, dtype=np.float64)
         if arr.ndim != 1:
             raise ValueError(f"samples must be one dimensional, got shape {arr.shape}")
         if arr.size and not np.all(np.isfinite(arr)):
             raise ValueError("samples must be finite")
-        object.__setattr__(self, "sample_rate", int(self.sample_rate))  # 8000.0 -> 8000
         object.__setattr__(self, "samples", arr)
 
     @property
@@ -91,20 +90,27 @@ class SampledWave:
 
 def fm_sample(params: FMParams, t: float | np.ndarray) -> float | np.ndarray:
     """Instantaneous value sin(2*pi*fc*t + I*sin(2*pi*fm*t)) at time t >= 0."""
-    times = np.asarray(t, dtype=np.float64)
+    times = np.array(t, dtype=np.float64)  # a copy: _fm_wave overwrites it
     if np.any(times < 0.0):
         raise ValueError("time must be nonnegative")
-    value = np.sin(
-        _TWO_PI * params.carrier_hz * times
-        + params.modulation_index * np.sin(_TWO_PI * params.modulator_hz * times)
-    )
+    fc, fm, index = params.carrier_hz, params.modulator_hz, params.modulation_index
+    value = _fm_wave(times, fc, fm, index, np.empty_like(times))
     if np.isscalar(t) or getattr(t, "ndim", 0) == 0:
         return float(value)
     return value
 
 
+def _fm_wave(t: np.ndarray, fc: float, fm: float, index, scratch: np.ndarray) -> np.ndarray:
+    """sin((2*pi*fc)*t + index*sin((2*pi*fm)*t)) into t, the modulator into scratch."""
+    np.sin(np.multiply(t, _TWO_PI * fm, out=scratch), out=scratch)
+    scratch *= index
+    t *= _TWO_PI * fc
+    t += scratch
+    return np.sin(t, out=t)
+
+
 def _validate_rate(sample_rate: int) -> int:
-    if int(sample_rate) != sample_rate or sample_rate < 1:
+    if not 1 <= sample_rate < math.inf or int(sample_rate) != sample_rate:  # int() needs finite
         raise ValueError(f"sample rate must be a positive integer, got {sample_rate!r}")
     return int(sample_rate)
 
@@ -180,14 +186,14 @@ def _fm_path_blocks(carrier_hz, modulator_hz, index_grid, segment_duration_sec, 
     _check_size(total)
 
     def blocks():
+        scratch = np.empty(min(total, _BLOCK_SAMPLES))  # the modulator, reused
         for start in range(0, total, _BLOCK_SAMPLES):
             stop = min(start + _BLOCK_SAMPLES, total)
-            block = np.empty(stop - start, dtype=np.float64)
-            for j in range(start // seg, (stop - 1) // seg + 1):
-                lo, hi = max(start, j * seg), min(stop, (j + 1) * seg)
-                t = np.arange(lo, hi, dtype=np.float64) / rate
-                block[lo - start : hi - start] = fm_sample(FMParams(fc, fm, grid[j]), t)
-            yield block
+            first, last = start // seg, (stop - 1) // seg + 1  # segments [first, last) meet it
+            edges = np.clip(np.arange(first, last + 1) * seg, start, stop)
+            index = np.repeat(grid[first:last], np.diff(edges))
+            t = np.arange(start, stop, dtype=np.float64) / rate  # numpy divides in place
+            yield _fm_wave(t, fc, fm, index, scratch[: stop - start])
 
     return total, blocks()
 

@@ -32,10 +32,18 @@ def write_wav(wave: SampledWave, path: str | Path) -> None:
     _write_pcm16(path, wave.sample_rate, len(wave.samples), [wave.samples])
 
 
-def _pcm16(block: np.ndarray) -> bytes:
-    if not np.all(np.abs(block) <= 1.0):  # a NaN fails the comparison too
-        raise ValueError("samples exceed [-1, 1]; normalize before writing")
-    return np.floor(block * _SCALE + 0.5).astype("<i2").tobytes()
+def _pcm16(blocks):
+    """Check and quantize float64 blocks in buffers reused from block to block."""
+    scratch, pcm = np.empty(0), np.empty(0, dtype="<i2")
+    for block in blocks:
+        if len(block) > len(scratch):
+            scratch, pcm = np.empty(len(block)), np.empty(len(block), dtype="<i2")
+        x, out = scratch[: len(block)], pcm[: len(block)]
+        if not np.all(np.abs(block, out=x) <= 1.0):  # a NaN fails the comparison too
+            raise ValueError("samples exceed [-1, 1]; normalize before writing")
+        np.add(np.multiply(block, _SCALE, out=x), 0.5, out=x)
+        np.copyto(out, np.floor(x, out=x), casting="unsafe")  # astype's C cast
+        yield memoryview(out)
 
 
 def _write_pcm16(path: str | Path, rate: int, count: int, blocks) -> None:
@@ -47,12 +55,12 @@ def _write_pcm16(path: str | Path, rate: int, count: int, blocks) -> None:
         _PCM_FORMAT, _CHANNELS, rate, rate * _CHANNELS * (_BITS // 8),
         _CHANNELS * (_BITS // 8), _BITS, b"data", 2 * count,
     )
-    pieces = map(_pcm16, blocks)
+    pieces = _pcm16(blocks)
     first = next(pieces, b"")
     fh = open(path, "wb")
     try:
         with fh:  # inside the try: a failed flush on close also removes the file
-            fh.write(header + first)
+            fh.writelines((header, first))  # before the next block reuses first's buffer
             fh.writelines(pieces)
     except BaseException:
         if Path(path).is_file() and not Path(path).is_symlink():  # not /dev/stdout
@@ -60,8 +68,8 @@ def _write_pcm16(path: str | Path, rate: int, count: int, blocks) -> None:
         raise
 
 
-def _scan_chunks(blob: bytes) -> dict[bytes, bytes]:
-    chunks: dict[bytes, bytes] = {}
+def _scan_chunks(blob: memoryview) -> dict[bytes, memoryview]:
+    chunks: dict[bytes, memoryview] = {}
     offset = 12
     while offset < len(blob):
         if offset + 8 > len(blob):
@@ -93,7 +101,7 @@ def read_wav(path: str | Path) -> SampledWave:
         raise WavFormatError("missing 'RIFF' magic in bytes 0..3")
     if blob[8:12] != b"WAVE":
         raise WavFormatError("missing 'WAVE' form type in bytes 8..11")
-    chunks = _scan_chunks(blob)
+    chunks = _scan_chunks(memoryview(blob))  # chunks are views: no copies
     if b"fmt " not in chunks:
         raise WavFormatError("missing 'fmt ' chunk")
     fmt = chunks[b"fmt "]
@@ -126,5 +134,5 @@ def read_wav(path: str | Path) -> SampledWave:
             f"'data' chunk length {len(data)} is not a whole number of "
             f"16-bit samples"
         )
-    samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / _SCALE
+    samples = np.frombuffer(data, dtype="<i2") / _SCALE  # one float64 array, no temporary
     return SampledWave(sample_rate=rate, samples=samples)

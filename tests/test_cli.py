@@ -109,6 +109,50 @@ class TestFullSpanDistance:
         assert _full_span_distance(np.array(triples, dtype=np.int64)) == brute
 
 
+def unique_span(rgb):
+    """The full-span metric over np.unique(axis=0) rows: the reference."""
+    points = np.unique(np.asarray(rgb, dtype=np.int64).reshape(-1, 3), axis=0)
+    widest = 0
+    for i in range(len(points) - 1):
+        widest = max(widest, int(np.sum((points[i + 1 :] - points[i]) ** 2, axis=1).max()))
+    return math.sqrt(widest)
+
+
+class TestFullSpanWithoutUnique:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_the_unique_reference_on_sets_with_repeats(self, seed):
+        rng = np.random.default_rng(seed)
+        palette = rng.integers(0, 256, (rng.integers(1, 30), 3))
+        rgb = palette[rng.integers(0, len(palette), 500)]
+        assert _full_span_distance(rgb) == unique_span(rgb)
+
+    @pytest.mark.parametrize(
+        "rgb",
+        [[[7, 7, 7]] * 5, [[0, 0, 0]], [[0, 0, 0], [255, 255, 255]], [[1, 2, 3], [3, 2, 1]] * 3],
+        ids=["one-color-repeated", "one-row", "two-colors", "two-colors-repeated"],
+    )
+    def test_equals_the_unique_reference_on_one_or_two_colors(self, rgb):
+        assert _full_span_distance(np.array(rgb, dtype=np.int64)) == unique_span(rgb)
+
+    def test_fm_path_does_not_import_numpy_ma(self, tmp_path):
+        src = Path(cli.__file__).resolve().parents[1]
+        code = (
+            "import sys\n"
+            "from timbrecolor.cli import main\n"
+            "assert main(['fm-path', '--i-end', '1', '--i-step', '0.5', '--seg-dur', '0.01',"
+            " '--out-wav', 'p.wav', '--out-img', 'p.ppm', '--out-csv', 'p.csv']) == 0\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-c", code], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False"
+        assert (tmp_path / "p.wav").stat().st_size == 44 + 2 * 3 * 441
+
+
 class TestAdjacentDistances:
     @settings(max_examples=100, deadline=None)
     @given(RGB_LISTS)

@@ -35,7 +35,25 @@ def count_rfft_calls(monkeypatch) -> list:
     return calls
 
 
+def fm_formula(fc, fm, index, t):
+    """The FM formula as one numpy expression: the reference for the in-place kernel."""
+    return np.sin(TWO_PI * fc * t + index * np.sin(TWO_PI * fm * t))
+
+
 class TestFMSample:
+    @pytest.mark.parametrize("index", [0.0, 0.37, 2.0, 19.99])
+    def test_equals_the_formula_bit_for_bit(self, index):
+        params = FMParams(440.0, 880.0, index)
+        t = np.arange(70001, dtype=np.float64) / RATE
+        assert fm_sample(params, t).tobytes() == fm_formula(440.0, 880.0, index, t).tobytes()
+        for ti in (0.0, 1.0 / RATE, 0.3, 1.5873):
+            assert fm_sample(params, ti) == float(fm_formula(440.0, 880.0, index, np.float64(ti)))
+
+    def test_the_caller_times_are_not_overwritten(self):
+        t = np.linspace(0.0, 0.01, 17)
+        fm_sample(FMParams(440.0, 880.0, 2.0), t)
+        assert t.tobytes() == np.linspace(0.0, 0.01, 17).tobytes()
+
     def test_scalar_and_array_agree(self):
         params = FMParams(440.0, 880.0, 2.0)
         t = np.linspace(0.0, 0.01, 17)
@@ -166,11 +184,11 @@ class TestRenderFMPath:
 
 
 def segment_loop(fc, fm, grid, seg, rate):
-    """The one-buffer render: one fm_sample call per whole segment."""
+    """The one-buffer render: the FM formula once per whole segment."""
     out = np.empty(seg * len(grid))
     for j, index in enumerate(grid):
         t = np.arange(j * seg, (j + 1) * seg, dtype=np.float64) / rate
-        out[j * seg : (j + 1) * seg] = fm_sample(FMParams(fc, fm, index), t)
+        out[j * seg : (j + 1) * seg] = fm_formula(fc, fm, index, t)
     return out
 
 
@@ -185,6 +203,10 @@ class TestFMPathBlocks:
             ([0.0, 0.5, 1.0], 1.5, RATE),  # segments longer than a block
             ([3.0], 2.0, RATE),  # one index
             ([0.0, 0.5, 1.0, 1.5, 2.0], 3.0, 8000),
+            # index 0.0 first; segments 4 and 8 start exactly on block edges
+            ([0.25 * k for k in range(10)], 16384 / RATE, RATE),
+            ([1e-4 * k for k in range(65540)], 1 / 8000, 8000),  # one-sample segments
+            ([0.0], 1 / 8000, 8000),  # a one-sample sweep
         ],
     )
     def test_blocks_end_to_end_equal_the_segment_loop(self, grid, seg_dur, rate):
@@ -215,7 +237,20 @@ class TestFMPathBlocks:
         assert synth.MAX_RENDER_SAMPLES == 100_000_000
 
 
+BAD_RATES = [math.inf, -math.inf, math.nan, 0, 8000.5]
+RATE_MESSAGE = r"^sample rate must be a positive integer, got "
+
+
 class TestSampledWave:
+    @pytest.mark.parametrize("rate", BAD_RATES)
+    def test_bad_rates_raise_the_rate_error_everywhere(self, rate):
+        with pytest.raises(ValueError, match=RATE_MESSAGE):
+            SampledWave(sample_rate=rate, samples=np.zeros(4))
+        with pytest.raises(ValueError, match=RATE_MESSAGE):
+            render_fm_wave(FMParams(440.0, 880.0, 1.0), 0.1, rate)
+        with pytest.raises(ValueError, match=RATE_MESSAGE):
+            render_fm_path(440.0, 880.0, [0.0, 1.0], 0.1, rate)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SampledWave(sample_rate=0, samples=np.zeros(4))

@@ -1,6 +1,7 @@
 """PCM16 mono WAV writing and reading, including malformed files."""
 
 import struct
+import tracemalloc
 import wave as stdlib_wave
 
 import numpy as np
@@ -145,6 +146,79 @@ class TestBlockWriter:
         with pytest.raises(ValueError):
             _write_pcm16(link, 8000, 6, [np.zeros(4), np.array([2.0, 0.0])])
         assert link.is_symlink()
+
+
+def one_shot_pcm16(block):
+    """The encoder with fresh arrays per block: the reference for the reused buffers."""
+    return np.floor(block * 32767.0 + 0.5).astype("<i2").tobytes()
+
+
+# values where x * 32767 + 0.5 is (about) whole, the rounding edges of floor,
+# each with its two float neighbours, then full scale and both zeros
+EDGE = 0.5 / 32767.0
+EDGES = [e * s for e in (EDGE, 1.5 / 32767.0, 32766.5 / 32767.0) for s in (1.0, -1.0)]
+EDGE_VALUES = np.array(
+    [np.nextafter(e, d) for e in EDGES for d in (-np.inf, np.inf)] + EDGES + [1.0, -1.0, -0.0, 0.0]
+)
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestReusedBuffers:
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            [5000, 7, 5000],  # long, short, long: the short block reuses the long buffers
+            [7, 5000, 7, 6000],  # the buffers grow twice
+            [1],
+            [1, 1, 1],
+            [0, 4, 0, 3],
+            [],
+        ],
+        ids=str,
+    )
+    def test_blocks_equal_the_one_shot_encoder(self, tmp_path, sizes):
+        rng = np.random.default_rng(len(sizes) + sum(sizes))
+        blocks = [rng.uniform(-1.0, 1.0, n) for n in sizes]
+        if blocks and len(blocks[0]):
+            blocks[0][: len(EDGE_VALUES)] = EDGE_VALUES[: len(blocks[0])]
+        count = sum(sizes)
+        _write_pcm16(tmp_path / "w.wav", 8000, count, iter(blocks))
+        raw = (tmp_path / "w.wav").read_bytes()
+        assert len(raw) == 44 + 2 * count
+        assert raw[44:] == b"".join(map(one_shot_pcm16, blocks))
+
+    def test_edge_values_encode_as_before(self, tmp_path):
+        write_wav(SampledWave(sample_rate=8000, samples=EDGE_VALUES), tmp_path / "e.wav")
+        raw = (tmp_path / "e.wav").read_bytes()[44:]
+        assert raw == one_shot_pcm16(EDGE_VALUES)
+        assert set(np.frombuffer(raw, dtype="<i2")) == {0, 1, -1, 2, -2, 32767, -32767, 32766, -32766}
+
+    def test_write_peak_memory_per_sample(self, tmp_path):
+        wave = SampledWave(sample_rate=44100, samples=np.linspace(-1.0, 1.0, 10**6))
+        peak = traced_peak(lambda: write_wav(wave, tmp_path / "m.wav"))
+        assert peak < 13 * 10**6
+
+    def test_read_peak_memory_per_sample(self, tmp_path):
+        count = 60 * 44100
+        t = np.arange(count, dtype=np.float64) / 44100
+        write_wav(SampledWave(sample_rate=44100, samples=0.8 * np.sin(2764.6 * t)), tmp_path / "r.wav")
+        del t
+        peak = traced_peak(lambda: read_wav(tmp_path / "r.wav"))
+        assert peak < 12 * count
+
+    def test_samples_equal_the_copying_reader(self, tmp_path):
+        frames = np.random.default_rng(3).integers(-32768, 32768, 999).astype("<i2").tobytes()
+        path = pcm16_file(tmp_path / "x.wav", frames=frames)
+        want = np.frombuffer(frames, dtype="<i2").astype(np.float64) / 32767.0
+        assert read_wav(path).samples.tobytes() == want.tobytes()
 
 
 class TestAgainstStdlibWave:

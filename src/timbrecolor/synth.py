@@ -16,9 +16,9 @@ sinusoids are as close to discretely orthogonal as the rate allows,
 which keeps leakage between harmonics near float precision whenever
 rate/fundamental is rational with a modest denominator.  When the window
 spans exactly P periods in whole samples, harmonic n is DFT bin n*P, so
-one real FFT of the window yields every projection at once; any other
-window (a fundamental incommensurate with the rate) is projected one
-harmonic at a time.
+one real FFT of one folded cycle (the window's whole-period pieces summed)
+yields every projection at once; any other window (a fundamental
+incommensurate with the rate) is projected one harmonic at a time.
 """
 
 from __future__ import annotations
@@ -260,9 +260,12 @@ def analyze_harmonics(
     amplitude floor suppressed; a0 (the window mean) lands in dc_term.
 
     The window holds P whole periods.  When it spans exactly P * rate / f
-    samples (equal as floats, as for 440 Hz or 220 Hz at 44.1 kHz), one
-    real FFT X of the window gives harmonic n at bin n*P, with sine and
-    cosine projections -2 Im X / L and 2 Re X / L.  Otherwise (261.63 Hz,
+    samples (equal as floats, as for 440 Hz or 220 Hz at 44.1 kHz),
+    harmonic n is bin n*P of the window's DFT X, with sine and cosine
+    projections -2 Im X / L and 2 Re X / L.  With g = gcd(P, L), that
+    bin is bin n*P/g of one real FFT of one folded cycle: the window cut
+    into g pieces of L/g samples and summed (2205 samples holding 22
+    periods at 440 Hz and 44.1 kHz, whatever L is).  Otherwise (261.63 Hz,
     or 440.0000001 Hz, at 44.1 kHz) the window is projected onto a
     sampled sine and cosine per harmonic: a bin only near n*P would bias
     the phase of the top harmonics.
@@ -287,7 +290,10 @@ def analyze_harmonics(
     window = wave.samples[:length]
     dc = float(np.mean(window))
     if periods * rate / f0 == length:
-        bins = np.fft.rfft(window)[periods : max_harmonic * periods + 1 : periods]
+        g = math.gcd(periods, length)  # the window is g pieces of cycle samples, turns periods each
+        cycle, turns = length // g, periods // g
+        folded = window.reshape(g, cycle).sum(axis=0)  # its bin n*turns = the window's bin n*periods
+        bins = np.fft.rfft(folded)[turns : max_harmonic * turns + 1 : turns]
         in_phases = (-2.0 * bins.imag / length).tolist()
         quadratures = (2.0 * bins.real / length).tolist()
     else:

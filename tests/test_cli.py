@@ -334,6 +334,20 @@ class TestStreamedWav:
         assert capsys.readouterr().err == "error: carrier must lie in (0, Nyquist), got 30000.0\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("rate", [2**31, 2**32])
+    def test_a_rate_past_the_wav_limit_writes_no_file(self, tmp_path, capsys, rate):
+        args = [
+            "fm-path", "--rate", str(rate), "--seg-dur", "1e-9",
+            "--out-wav", str(tmp_path / "p.wav"),
+            "--out-img", str(tmp_path / "p.ppm"),
+            "--out-csv", str(tmp_path / "p.csv"),
+        ]
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            f"error: sample rate {rate} exceeds the WAV limit of 2147483647\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
 
 def chain_rows(fc, fm, grid, octave, cmf):
     """_fm_path_rows's four arrays, one index at a time through the public

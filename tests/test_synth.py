@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -356,6 +357,60 @@ class TestAnalyzeHarmonics:
         want = harmonic_coefficients(samples, RATE, freqs)
         for line, z in zip(spec.lines, want):
             assert abs(cmath.rect(line.amplitude, line.phase) - z) <= 1e-11
+
+    def test_one_short_rfft_at_440_hz(self, monkeypatch):
+        # 2205 samples hold 22 periods of 440 Hz at 44.1 kHz: the window folds onto them
+        t = np.arange(2 * RATE, dtype=np.float64) / RATE
+        samples = 0.5 * np.sin(TWO_PI * 440.0 * t + 1.0) + 0.2 * np.sin(TWO_PI * 1320.0 * t)
+        calls = count_rfft_calls(monkeypatch)
+        spec = analyze_harmonics(SampledWave(sample_rate=RATE, samples=samples), 440.0, 32)
+        assert [len(args[0]) for args in calls] == [2205]
+        assert list(spec.frequencies) == [440.0, 1320.0]
+        assert spec.amplitudes == pytest.approx([0.5, 0.2], abs=1e-12)
+
+    def test_folded_bins_equal_the_whole_window_rfft(self):
+        # 60 s of a noisy 440 Hz FM tone: 26 400 periods in 2 646 000 samples
+        rng = np.random.default_rng(11)
+        t = np.arange(60 * RATE, dtype=np.float64) / RATE
+        samples = 0.8 * np.sin(TWO_PI * 440.0 * t + 0.4 + 2.0 * np.sin(TWO_PI * 880.0 * t))
+        samples += 1e-4 * rng.standard_normal(len(t))
+        spec = analyze_harmonics(SampledWave(sample_rate=RATE, samples=samples), 440.0, 32)
+        periods, length = 26400, len(samples)
+        # sine and cosine projections (-2 Im X, 2 Re X) / L, as one complex number 2iX / L
+        want = 2j * np.fft.rfft(samples)[periods::periods][:32] / length
+        got = np.zeros(32, dtype=complex)
+        for line in spec.lines:
+            got[round(line.frequency / 440.0) - 1] = cmath.rect(line.amplitude, line.phase)
+        kept = np.abs(want) >= AMPLITUDE_FLOOR
+        assert list(spec.frequencies) == [440.0 * n for n in np.flatnonzero(kept) + 1]
+        assert np.max(np.abs(got[kept] - want[kept])) <= 1e-12 * np.max(np.abs(want))
+        assert spec.dc_term == np.mean(samples)
+
+    def test_an_unfoldable_window_matches_the_oracle(self, monkeypatch):
+        # 64 samples at 8 kHz hold 11 periods of 1375 Hz and gcd(11, 64) = 1: no fold
+        rng = np.random.default_rng(2)
+        t = np.arange(100, dtype=np.float64) / 8000
+        samples = 0.1 + 0.6 * np.sin(TWO_PI * 1375.0 * t + 0.5) + 1e-3 * rng.standard_normal(100)
+        samples += 0.3 * np.sin(TWO_PI * 2750.0 * t + 2.0)
+        calls = count_rfft_calls(monkeypatch)
+        spec = analyze_harmonics(SampledWave(sample_rate=8000, samples=samples), 1375.0, 2)
+        assert [len(args[0]) for args in calls] == [64]
+        assert spec.dc_term == np.mean(samples[:64])
+        want = harmonic_coefficients(samples[:64], 8000, [1375.0, 2750.0])
+        assert list(spec.frequencies) == [1375.0, 2750.0]
+        for line, z in zip(spec.lines, want):
+            assert abs(cmath.rect(line.amplitude, line.phase) - z) <= 1e-11
+
+    def test_peak_memory_per_sample_on_60_s(self):
+        t = np.arange(60 * RATE, dtype=np.float64) / RATE
+        wave = SampledWave(sample_rate=RATE, samples=0.8 * np.sin(TWO_PI * 440.0 * t))
+        tracemalloc.start()
+        try:
+            analyze_harmonics(wave, 440.0, 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / len(wave.samples) < 1.0
 
     @pytest.mark.parametrize("f0", [261.63, 440.0000001])
     def test_incommensurate_fundamental_is_projected(self, monkeypatch, f0):

@@ -81,6 +81,22 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="normalize"):
             write_wav(wave, tmp_path / "clip.wav")
 
+    @pytest.mark.parametrize("rate", [2**31, 2**32])
+    def test_a_rate_past_the_header_limit_writes_no_file(self, tmp_path, rate):
+        # the header stores the byte rate, 2 * rate, in 32 bits
+        path = tmp_path / "fast.wav"
+        message = f"^sample rate {rate} exceeds the WAV limit of 2147483647$"
+        with pytest.raises(ValueError, match=message):
+            write_wav(SampledWave(sample_rate=rate, samples=np.zeros(4)), path)
+        assert not path.exists()
+
+    def test_the_largest_header_rate_still_writes(self, tmp_path):
+        samples = np.array([0.0, 0.5, -1.0, 1.0])
+        write_wav(SampledWave(sample_rate=2**31 - 1, samples=samples), tmp_path / "top.wav")
+        back = read_wav(tmp_path / "top.wav")
+        assert back.sample_rate == 2**31 - 1
+        assert np.array_equal(back.samples, np.floor(samples * 32767 + 0.5) / 32767)
+
 
 class TestBlockWriter:
     def test_blocks_write_the_bytes_of_one_buffer(self, tmp_path):

@@ -32,8 +32,8 @@ from .color import spectrum_to_xyz, standard_observer, xyz_to_srgb
 from .gesture import _gesture_text, _map_rows, adsr_gesture
 from .ppm import write_ppm
 from .spectrum import LineSpectrum, _fold_rows, _sideband_rows
-from .synth import _check_size, _fm_path_blocks, _segment_samples, analyze_harmonics
-from .wavefile import _write_pcm16, read_wav
+from .synth import _analyze_blocks, _check_size, _fm_path_blocks, _segment_samples
+from .wavefile import _read_pcm16, _write_pcm16
 
 __all__ = ["main"]
 
@@ -314,8 +314,8 @@ def _lines_csv(fh, spectrum: LineSpectrum) -> None:
 
 def _run_wav2color(args: argparse.Namespace) -> int:
     s = _merge_settings(args, _WAV2COLOR_OPTIONS)
-    wave = read_wav(s["in"])
-    spectrum = analyze_harmonics(wave, s["fundamental"], s["max_harmonic"])
+    with _read_pcm16(s["in"]) as (rate, count, blocks):  # format errors first
+        spectrum = _analyze_blocks(rate, count, blocks, s["fundamental"], s["max_harmonic"])
     octave = OctaveMap(base_hz=s["base"], flip=s["flip_orientation"])
     xyz = spectrum_to_xyz(spectrum, octave, standard_observer())
     srgb = xyz_to_srgb(xyz)
@@ -356,15 +356,17 @@ def _run_envelope_transfer(args: argparse.Namespace) -> int:
         samples_per_segment=s["samples_per_segment"],
     )
 
+    # strip column x shows the envelope at the centre of its time slot
+    times, levels = envelope.vertex_points.T
+    total = float(times[-1])
+    if not math.isfinite(total * STRIP_WIDTH):  # the strip's sample times would overflow
+        raise ValueError(f"envelope of {total!r} s is too long for a {STRIP_WIDTH}-column strip")
     scale = np.array(base_rgb, dtype=np.float64)
     # (time, amplitude) rows -> amplitude-scaled base color, black at zero
     colorized = _map_rows(lambda pts, _label: pts[:, 1:2] * scale, envelope)
     with _csv_open(s["out_gesture"]) as fh:
         fh.writelines(_gesture_text(colorized))
 
-    # strip column x shows the envelope at the centre of its time slot
-    times, levels = envelope.vertex_points.T
-    total = float(times[-1])
     amps = np.interp(total * (np.arange(STRIP_WIDTH) + 0.5) / STRIP_WIDTH, times, levels)
     row = np.floor(amps[:, None] * scale + 0.5).astype(np.uint8)
     write_ppm(s["out_img"], np.repeat(row[None], STRIP_HEIGHT, axis=0))

@@ -18,11 +18,14 @@ rate/fundamental is rational with a modest denominator.  When the window
 spans exactly P periods in whole samples, harmonic n is DFT bin n*P, so
 one real FFT of one folded cycle (the window's whole-period pieces summed)
 yields every projection at once; any other window (a fundamental
-incommensurate with the rate) is projected one harmonic at a time.
+incommensurate with the rate) is projected one harmonic at a time.  The
+fold takes the samples block by block, as the WAV reader yields them, so
+the analysis of a file never holds the whole file.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -45,7 +48,7 @@ __all__ = [
 AMPLITUDE_FLOOR = 1e-6
 # fm-path streams in blocks: this caps its time and disk, not its memory
 MAX_RENDER_SAMPLES = 100_000_000
-_BLOCK_SAMPLES = 2**16  # samples per block of _fm_path_blocks
+_BLOCK_SAMPLES = 2**16  # samples per block: fm-path audio, the WAV reader, the fold
 _MIN_ANALYSIS_PERIODS = 10
 _TWO_PI = 2.0 * math.pi
 
@@ -130,7 +133,10 @@ def _segment_samples(segment_duration_sec: float, sample_rate: int) -> int:
         raise ValueError(
             f"segment duration must be positive, got {segment_duration_sec!r}"
         )
-    seg = int(round(segment_duration_sec * rate))
+    span = segment_duration_sec * rate
+    if not math.isfinite(span):  # round(inf) has no int
+        raise ValueError(f"segment duration {segment_duration_sec!r} s overflows at {rate} Hz")
+    seg = int(round(span))
     if seg < 1:
         raise ValueError("segment duration shorter than one sample")
     return seg
@@ -265,13 +271,48 @@ def analyze_harmonics(
     projections -2 Im X / L and 2 Re X / L.  With g = gcd(P, L), that
     bin is bin n*P/g of one real FFT of one folded cycle: the window cut
     into g pieces of L/g samples and summed (2205 samples holding 22
-    periods at 440 Hz and 44.1 kHz, whatever L is).  Otherwise (261.63 Hz,
-    or 440.0000001 Hz, at 44.1 kHz) the window is projected onto a
-    sampled sine and cosine per harmonic: a bin only near n*P would bias
-    the phase of the top harmonics.
+    periods at 440 Hz and 44.1 kHz, whatever L is).  The fold is streamed,
+    a few rows at a time, so its memory does not grow with L.  Otherwise
+    (261.63 Hz, or 440.0000001 Hz, at 44.1 kHz) the window is projected
+    onto a sampled sine and cosine per harmonic: a bin only near n*P
+    would bias the phase of the top harmonics.
     """
+    samples = wave.samples
+    spectrum = _analyze_blocks(wave.sample_rate, len(samples), [samples], fundamental_hz, max_harmonic)
+    length = _analysis_window(len(samples), float(fundamental_hz), wave.sample_rate)[0]
+    return dataclasses.replace(spectrum, dc_term=float(np.mean(samples[:length])))
+
+
+def _fold(blocks, length: int, cycle: int) -> np.ndarray:
+    """window.reshape(-1, cycle).sum(axis=0) bit for bit, window being the first
+    length samples of blocks: numpy's sum starts from +0.0 and adds rows in
+    order, so whole rows go through it _BLOCK_SAMPLES at most at a time,
+    stacked under the running sum."""
+    acc, pos = np.zeros(cycle), 0
+    step = max(1, _BLOCK_SAMPLES // cycle)
+    for block in blocks:
+        block = block[: length - pos]
+        at = pos % cycle
+        head = min(-at % cycle, len(block))  # finish the row in progress first
+        acc[at : at + head] += block[:head]
+        whole = (len(block) - head) // cycle * cycle
+        rows = block[head : head + whole].reshape(-1, cycle)
+        for k in range(0, len(rows), step):
+            np.sum(np.vstack((acc, rows[k : k + step])), axis=0, out=acc)
+        tail = block[head + whole :]
+        acc[: len(tail)] += tail
+        pos += len(block)
+        if pos == length:
+            break
+    return acc
+
+
+def _analyze_blocks(
+    rate: int, count: int, blocks, fundamental_hz: float, max_harmonic: int
+) -> LineSpectrum:
+    """analyze_harmonics on count samples given as blocks, read no further than
+    the window; dc_term is the window's sum over its length, not np.mean."""
     f0 = float(fundamental_hz)
-    rate = wave.sample_rate
     if not (math.isfinite(f0) and f0 > 0.0):
         raise ValueError(f"fundamental must be positive, got {fundamental_hz!r}")
     if f0 >= rate / 2.0:
@@ -286,13 +327,13 @@ def analyze_harmonics(
             f"harmonic {max_harmonic} at {max_harmonic * f0} Hz reaches "
             f"Nyquist {rate / 2.0} Hz; lower max_harmonic or raise the rate"
         )
-    length, periods = _analysis_window(len(wave.samples), f0, rate)
-    window = wave.samples[:length]
-    dc = float(np.mean(window))
-    if periods * rate / f0 == length:
-        g = math.gcd(periods, length)  # the window is g pieces of cycle samples, turns periods each
-        cycle, turns = length // g, periods // g
-        folded = window.reshape(g, cycle).sum(axis=0)  # its bin n*turns = the window's bin n*periods
+    length, periods = _analysis_window(count, f0, rate)
+    exact = periods * rate / f0 == length
+    g = math.gcd(periods, length) if exact else 1  # the window is g pieces of cycle samples
+    folded = _fold(blocks, length, length // g)  # g == 1: the window itself
+    dc = float(folded.sum() / length)
+    if exact:
+        turns = periods // g  # the fold's bin n*turns = the window's bin n*periods
         bins = np.fft.rfft(folded)[turns : max_harmonic * turns + 1 : turns]
         in_phases = (-2.0 * bins.imag / length).tolist()
         quadratures = (2.0 * bins.real / length).tolist()
@@ -301,8 +342,8 @@ def analyze_harmonics(
         in_phases, quadratures = [], []
         for n in range(1, max_harmonic + 1):
             angle = _TWO_PI * n * f0 * t
-            in_phases.append(2.0 * float(window @ np.sin(angle)) / length)
-            quadratures.append(2.0 * float(window @ np.cos(angle)) / length)
+            in_phases.append(2.0 * float(folded @ np.sin(angle)) / length)
+            quadratures.append(2.0 * float(folded @ np.cos(angle)) / length)
     lines = []  # math.hypot/atan2 per harmonic: numpy's differ in the last ulp
     for n, (in_phase, quadrature) in enumerate(zip(in_phases, quadratures), start=1):
         amplitude = math.hypot(in_phase, quadrature)

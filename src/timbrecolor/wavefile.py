@@ -3,17 +3,20 @@
 Hand rolled on struct rather than delegated, because the read path must
 report *which* format field or chunk disqualified a file, and the write
 path must be byte-reproducible: a fixed 44-byte header followed by raw
-samples, so file size is exactly 44 + 2 * sample_count.
+samples, so file size is exactly 44 + 2 * sample_count.  Both paths
+work in fixed-size blocks, so neither one's memory grows with the file.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .synth import SampledWave
+from .synth import _BLOCK_SAMPLES, SampledWave
 
 __all__ = ["WavFormatError", "write_wav", "read_wav"]
 
@@ -70,49 +73,52 @@ def _write_pcm16(path: str | Path, rate: int, count: int, blocks) -> None:
         raise
 
 
-def _scan_chunks(blob: memoryview) -> dict[bytes, memoryview]:
-    chunks: dict[bytes, memoryview] = {}
+@contextlib.contextmanager
+def _read_pcm16(path: str | Path):
+    """Open a 16-bit PCM mono WAV, check it without reading its samples and
+    yield (rate, count, blocks): the samples as float64 blocks of
+    _BLOCK_SAMPLES, each in one buffer that the next block overwrites."""
+    with open(path, "rb") as fh:
+        rate, count = _scan(fh)
+        yield rate, count, _pcm16_blocks(fh, count)
+
+
+def _scan(fh) -> tuple[int, int]:
+    """(rate, sample count), checked with seek and read; leaves fh at the first sample."""
+    size = fh.seek(0, os.SEEK_END)  # the truncation checks measure against it
+    if size < 12:
+        raise WavFormatError(f"file too short for a RIFF header: {size} bytes, need 12")
+    fh.seek(0)
+    head = fh.read(12)
+    if head[0:4] != b"RIFF":
+        raise WavFormatError("missing 'RIFF' magic in bytes 0..3")
+    if head[8:12] != b"WAVE":
+        raise WavFormatError("missing 'WAVE' form type in bytes 8..11")
+    chunks: dict[bytes, tuple[int, int]] = {}  # id -> (body offset, size) of its first copy
     offset = 12
-    while offset < len(blob):
-        if offset + 8 > len(blob):
+    while offset < size:
+        if offset + 8 > size:
             raise WavFormatError(
-                f"truncated chunk header at byte {offset}: "
-                f"{len(blob) - offset} bytes left, need 8"
+                f"truncated chunk header at byte {offset}: {size - offset} bytes left, need 8"
             )
-        chunk_id, size = struct.unpack_from("<4sI", blob, offset)
-        body_start = offset + 8
-        if body_start + size > len(blob):
+        fh.seek(offset)
+        chunk_id, length = struct.unpack("<4sI", fh.read(8))
+        body = offset + 8
+        if body + length > size:
             raise WavFormatError(
                 f"truncated '{chunk_id.decode('ascii', 'replace')}' chunk: "
-                f"declares {size} bytes, {len(blob) - body_start} available"
+                f"declares {length} bytes, {size - body} available"
             )
-        if chunk_id not in chunks:
-            chunks[chunk_id] = blob[body_start : body_start + size]
-        offset = body_start + size + (size & 1)  # chunks are word aligned
-    return chunks
-
-
-def read_wav(path: str | Path) -> SampledWave:
-    """Read a 16-bit PCM mono WAV; anything else is rejected by name."""
-    blob = Path(path).read_bytes()
-    if len(blob) < 12:
-        raise WavFormatError(
-            f"file too short for a RIFF header: {len(blob)} bytes, need 12"
-        )
-    if blob[0:4] != b"RIFF":
-        raise WavFormatError("missing 'RIFF' magic in bytes 0..3")
-    if blob[8:12] != b"WAVE":
-        raise WavFormatError("missing 'WAVE' form type in bytes 8..11")
-    chunks = _scan_chunks(memoryview(blob))  # chunks are views: no copies
+        chunks.setdefault(chunk_id, (body, length))
+        offset = body + length + (length & 1)  # chunks are word aligned
     if b"fmt " not in chunks:
         raise WavFormatError("missing 'fmt ' chunk")
-    fmt = chunks[b"fmt "]
-    if len(fmt) < 16:
-        raise WavFormatError(
-            f"'fmt ' chunk holds {len(fmt)} bytes, need at least 16"
-        )
-    audio_format, channels, rate, _byte_rate, _block_align, bits = struct.unpack_from(
-        "<HHIIHH", fmt, 0
+    fmt_at, fmt_size = chunks[b"fmt "]
+    if fmt_size < 16:
+        raise WavFormatError(f"'fmt ' chunk holds {fmt_size} bytes, need at least 16")
+    fh.seek(fmt_at)
+    audio_format, channels, rate, _byte_rate, _block_align, bits = struct.unpack(
+        "<HHIIHH", fh.read(16)
     )
     if audio_format != _PCM_FORMAT:
         raise WavFormatError(
@@ -123,18 +129,38 @@ def read_wav(path: str | Path) -> SampledWave:
             f"unsupported channel count {channels} (only mono = {_CHANNELS})"
         )
     if bits != _BITS:
-        raise WavFormatError(
-            f"unsupported bits per sample {bits} (only {_BITS})"
-        )
+        raise WavFormatError(f"unsupported bits per sample {bits} (only {_BITS})")
     if rate < 1:
         raise WavFormatError(f"invalid sample rate {rate}")
     if b"data" not in chunks:
         raise WavFormatError("missing 'data' chunk")
-    data = chunks[b"data"]
-    if len(data) % 2 != 0:
+    data_at, data_size = chunks[b"data"]
+    if data_size % 2 != 0:
         raise WavFormatError(
-            f"'data' chunk length {len(data)} is not a whole number of "
-            f"16-bit samples"
+            f"'data' chunk length {data_size} is not a whole number of 16-bit samples"
         )
-    samples = np.frombuffer(data, dtype="<i2") / _SCALE  # one float64 array, no temporary
+    fh.seek(data_at)
+    return rate, data_size // 2
+
+
+def _pcm16_blocks(fh, count: int):
+    """count samples via one int16 and one float64 buffer, reused block to block."""
+    raw = np.empty(min(count, _BLOCK_SAMPLES), dtype="<i2")
+    out = np.empty(len(raw))
+    for start in range(0, count, _BLOCK_SAMPLES):
+        n = min(_BLOCK_SAMPLES, count - start)
+        got = fh.readinto(raw[:n])
+        if got != 2 * n:  # the file shrank after its header was read
+            raise WavFormatError(
+                f"truncated 'data' chunk: read {2 * start + got} of {2 * count} bytes"
+            )
+        yield np.divide(raw[:n], _SCALE, out=out[:n])
+
+
+def read_wav(path: str | Path) -> SampledWave:
+    """Read a 16-bit PCM mono WAV; anything else is rejected by name."""
+    with _read_pcm16(path) as (rate, count, blocks):
+        samples = np.empty(count)
+        for k, block in enumerate(blocks):
+            samples[k * _BLOCK_SAMPLES :][: len(block)] = block
     return SampledWave(sample_rate=rate, samples=samples)

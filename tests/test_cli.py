@@ -537,6 +537,58 @@ class TestWav2ColorCommand:
         assert main(args) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_peak_memory_does_not_grow_with_the_input(self, tmp_path):
+        # 10 s and 60 s at 440 Hz: the fold keeps 2205 samples, the reader one block
+        peaks = []
+        for seconds in (10, 60):
+            t = np.arange(seconds * 44100, dtype=np.float64) / 44100
+            write_wav(SampledWave(sample_rate=44100, samples=0.8 * np.sin(2 * math.pi * 440.0 * t)), tmp_path / "in.wav")
+            del t
+            args = ["wav2color", "--in", str(tmp_path / "in.wav"), "--fundamental", "440",
+                    "--out-csv", str(tmp_path / "c.csv"), "--out-img", str(tmp_path / "c.ppm")]
+            tracemalloc.start()
+            try:
+                assert main(args) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 2**20
+
+
+class TestOverflowingDurations:
+    def test_fm_path_refuses_a_segment_past_the_float_range(self, tmp_path, capsys):
+        args = [
+            "fm-path", "--seg-dur", "1e308",
+            "--out-wav", str(tmp_path / "p.wav"),
+            "--out-img", str(tmp_path / "p.ppm"),
+            "--out-csv", str(tmp_path / "p.csv"),
+        ]
+        assert main(args) == 2
+        assert capsys.readouterr().err == "error: segment duration 1e+308 s overflows at 44100 Hz\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("stage", ["attack", "decay", "sustain", "release"])
+    def test_envelope_transfer_refuses_a_strip_past_the_float_range(self, tmp_path, capsys, stage):
+        args = [
+            "envelope-transfer", "--color", "808080", f"--{stage}", "1e308",
+            "--out-gesture", str(tmp_path / "g.txt"), "--out-img", str(tmp_path / "s.ppm"),
+        ]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("error: envelope of 1e+308 s is too long")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.filterwarnings("error")
+    def test_envelope_transfer_draws_the_longest_strip_that_fits(self, tmp_path):
+        # 1e305 s: every sample time, up to 511.5 / 512 of the total, stays finite
+        args = [
+            "envelope-transfer", "--color", "808080", "--attack", "1e305",
+            "--out-gesture", str(tmp_path / "g.txt"), "--out-img", str(tmp_path / "s.ppm"),
+        ]
+        assert main(args) == 0
+        strip = read_ppm(tmp_path / "s.ppm")
+        assert strip[0, 0].tolist() == [0, 0, 0] and strip[0, 511].tolist() == [128, 128, 128]
+
 
 class TestEnvelopeTransferCommand:
     DEFAULTS = dict(attack=0.05, decay=0.15, sustain_level=0.7, sustain=0.4, release=0.3)

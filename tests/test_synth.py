@@ -457,3 +457,96 @@ class TestAnalyzeHarmonics:
         wave = SampledWave(sample_rate=RATE, samples=np.zeros(RATE))
         with pytest.raises(ValueError):
             analyze_harmonics(wave, 440.0, 0)
+
+
+def split(samples, sizes):
+    """samples cut into consecutive blocks of the given sizes, the last one
+    repeated until the samples run out."""
+    blocks, start = [], 0
+    while start < len(samples):
+        size = sizes[min(len(blocks), len(sizes) - 1)]
+        blocks.append(samples[start : start + size])
+        start += size
+    return blocks
+
+
+def only_up_to(blocks, length):
+    """The blocks, failing if any block is asked for after length samples."""
+    seen = 0
+    for block in blocks:
+        if seen >= length:
+            raise AssertionError(f"block asked for after {seen} of {length} window samples")
+        yield block
+        seen += len(block)
+
+
+def noisy_tone(rate, f0, count, seed):
+    rng = np.random.default_rng(seed)
+    t = np.arange(count, dtype=np.float64) / rate
+    samples = 0.1 + 0.5 * np.sin(TWO_PI * f0 * t + 1.0) + 0.2 * np.sin(TWO_PI * 2.0 * f0 * t + 2.5)
+    return samples + 1e-4 * rng.standard_normal(count)
+
+
+class TestStreamedFold:
+    @pytest.mark.parametrize(
+        "sizes",
+        [[1000], [2205], [5000], [2**16], [1, 2204, 2206, 4410, 7, 2**16], [3 * 2**16]],
+        ids=str,
+    )
+    @pytest.mark.parametrize("f0, count", [(440.0, 3 * RATE + 17), (220.0, 2 * RATE + 333)])
+    def test_equals_the_reshape_sum_bit_for_bit(self, sizes, f0, count):
+        # both fundamentals fold onto 2205 samples, which divides no block size above
+        length, periods = synth._analysis_window(count, f0, RATE)
+        g = math.gcd(periods, length)
+        cycle = length // g
+        assert cycle == 2205 and count > length
+        samples = noisy_tone(RATE, f0, count, seed=len(sizes)) * 10.0 ** np.random.default_rng(1).integers(-6, 6, count)
+        samples[length:] = np.nan  # a tail that must not be read
+        samples[::cycle] = -0.0  # the sign of a zero sum depends on where the sum starts
+        folded = synth._fold(only_up_to(split(samples, sizes), length), length, cycle)
+        assert folded.tobytes() == samples[:length].reshape(g, cycle).sum(axis=0).tobytes()
+
+    @pytest.mark.parametrize("sizes", [[1], [10], [64], [100]], ids=str)
+    def test_one_cycle_is_the_window(self, sizes):
+        # 64 samples at 8 kHz hold 11 periods of 1375 Hz: g == 1
+        samples = noisy_tone(8000, 1375.0, 100, seed=4)
+        assert synth._analysis_window(100, 1375.0, 8000) == (64, 11)
+        folded = synth._fold(only_up_to(split(samples, sizes), 64), 64, 64)
+        assert folded.tobytes() == samples[:64].reshape(1, 64).sum(axis=0).tobytes()
+        assert folded.tobytes() == samples[:64].tobytes()
+
+    @pytest.mark.parametrize(
+        "rate, f0, count, max_harmonic",
+        [
+            (RATE, 440.0, 3 * RATE + 17, 32),
+            (RATE, 220.0, 2 * RATE + 333, 32),
+            (8000, 1375.0, 100, 2),
+            (RATE, 261.63, RATE, 16),  # the per-harmonic route
+        ],
+    )
+    @pytest.mark.parametrize("sizes", [None, [2**16], [1000, 3]], ids=str)
+    def test_streamed_lines_equal_analyze_harmonics(self, rate, f0, count, max_harmonic, sizes):
+        samples = noisy_tone(rate, f0, count, seed=count)
+        blocks = [samples] if sizes is None else split(samples, sizes)
+        length = synth._analysis_window(count, f0, rate)[0]
+        streamed = synth._analyze_blocks(rate, count, only_up_to(blocks, length), f0, max_harmonic)
+        whole = analyze_harmonics(SampledWave(sample_rate=rate, samples=samples), f0, max_harmonic)
+        for name in ("frequencies", "amplitudes", "phases"):
+            assert getattr(streamed, name).tobytes() == getattr(whole, name).tobytes()
+        assert len(whole.frequencies) >= 2  # the two tones, and noise lines above the floor
+        assert whole.dc_term == np.mean(samples[:length])
+        assert streamed.dc_term == pytest.approx(whole.dc_term, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "f0, max_harmonic, message",
+        [(0.0, 4, "fundamental must be positive"), (RATE / 2.0, 1, "Nyquist"),
+         (440.0, 51, "Nyquist"), (440.0, 0, "max harmonic"), (440.0, 4, "too short")],
+    )
+    def test_argument_errors_come_before_any_block_is_read(self, f0, max_harmonic, message):
+        def never():
+            raise AssertionError("block read before the arguments were checked")
+            yield
+
+        count = 400 if message == "too short" else RATE
+        with pytest.raises(ValueError, match=message):
+            synth._analyze_blocks(RATE, count, never(), f0, max_harmonic)

@@ -1,5 +1,6 @@
 """PCM16 mono WAV writing and reading, including malformed files."""
 
+import os
 import struct
 import tracemalloc
 import wave as stdlib_wave
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from timbrecolor import wavefile
+from timbrecolor.cli import main
 from timbrecolor.synth import SampledWave
 from timbrecolor.wavefile import WavFormatError, _write_pcm16, read_wav, write_wav
 
@@ -319,3 +321,121 @@ class TestMalformedFiles:
         path = pcm16_file(tmp_path / "rate.wav", rate=0)
         with pytest.raises(WavFormatError, match="sample rate"):
             read_wav(path)
+
+
+def chunk(chunk_id, body):
+    """One RIFF chunk, padded to an even length."""
+    return chunk_id + struct.pack("<I", len(body)) + body + b"\x00" * (len(body) & 1)
+
+
+def riff_file(path, *chunks):
+    body = b"WAVE" + b"".join(chunks)
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    return path
+
+
+FMT = struct.pack("<HHIIHH", 1, 1, 8000, 16000, 2, 16)
+STEREO_FMT = struct.pack("<HHIIHH", 1, 2, 8000, 32000, 4, 16)
+
+# the chunk orders a reader meets in the wild; the first copy of a chunk wins
+LAYOUTS = {
+    "list-before-data": lambda frames: [chunk(b"fmt ", FMT), chunk(b"LIST", b"INFOISFT" * 3), chunk(b"data", frames)],
+    "odd-padded-chunk": lambda frames: [chunk(b"junk", b"abc"), chunk(b"fmt ", FMT), chunk(b"data", frames)],
+    "chunk-after-data": lambda frames: [chunk(b"fmt ", FMT), chunk(b"data", frames), chunk(b"cue ", b"\x01" * 7)],
+    "duplicates": lambda frames: [
+        chunk(b"fmt ", FMT), chunk(b"data", frames), chunk(b"fmt ", STEREO_FMT), chunk(b"data", b"\x7f\x7f" * 9),
+    ],
+}
+
+
+def collect(blocks):
+    """Copies of the blocks: the reader overwrites one buffer block after block."""
+    return [block.copy() for block in blocks]
+
+
+class TestStreamedReader:
+    @pytest.mark.parametrize("count", [0, 1, 2**16 - 1, 2**16, 2**16 + 1])
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_blocks_concatenate_to_read_wav(self, tmp_path, layout, count):
+        frames = np.random.default_rng(count).integers(-32768, 32768, count).astype("<i2")
+        path = riff_file(tmp_path / "x.wav", *LAYOUTS[layout](frames.tobytes()))
+        with wavefile._read_pcm16(path) as (rate, n, blocks):
+            parts = collect(blocks)
+        assert (rate, n) == (8000, count)
+        assert [len(part) for part in parts] == [min(2**16, count - k) for k in range(0, count, 2**16)]
+        streamed = np.concatenate([np.zeros(0), *parts])
+        assert streamed.tobytes() == read_wav(path).samples.tobytes()
+        assert streamed.tobytes() == (frames / 32767.0).tobytes()
+
+    def test_a_file_cut_short_after_the_scan_raises(self, tmp_path):
+        path = riff_file(tmp_path / "cut.wav", chunk(b"fmt ", FMT), chunk(b"data", b"\x01\x00" * (3 * 2**16)))
+        with wavefile._read_pcm16(path) as (rate, count, blocks):
+            os.truncate(path, 44 + 2 * 100)  # between the scan and the first readinto
+            parts = []
+            # the bytes read may include what the file buffer held before the cut
+            with pytest.raises(WavFormatError, match=r"^truncated 'data' chunk: read \d+ of 393216 bytes$"):
+                for block in blocks:
+                    parts.append(block.copy())
+        assert count == 3 * 2**16
+        assert parts == []  # no block of zeros stands in for the missing samples
+
+    def test_a_file_cut_inside_a_later_block_yields_only_whole_blocks(self, tmp_path):
+        path = riff_file(tmp_path / "cut.wav", chunk(b"fmt ", FMT), chunk(b"data", b"\x01\x00" * (3 * 2**16)))
+        with wavefile._read_pcm16(path) as (rate, count, blocks):
+            os.truncate(path, 44 + 2 * (2**16 + 5))
+            parts = []
+            with pytest.raises(WavFormatError, match=r"^truncated 'data' chunk: read 131082 of 393216 bytes$"):
+                for block in blocks:
+                    parts.append(block.copy())
+        assert [len(part) for part in parts] == [2**16]
+        assert np.all(parts[0] == 1 / 32767.0)
+
+
+def malformed_inputs(tmp_path):
+    """Every TestMalformedFiles input, plus the chunk-list faults, by name."""
+    tiny = tmp_path / "tiny.wav"
+    tiny.write_bytes(b"RIFF\x00\x00")
+    short_fmt = riff_file(tmp_path / "short_fmt.wav", chunk(b"fmt ", FMT[:14]), chunk(b"data", b"\x00\x00"))
+    cut_header = tmp_path / "cut_header.wav"
+    cut_header.write_bytes(pcm16_file(tmp_path / "base.wav").read_bytes() + b"LIS")
+    return {
+        "not-riff": pcm16_file(tmp_path / "bad.wav", magic=b"RIFX"),
+        "too-short": tiny,
+        "not-wave": pcm16_file(tmp_path / "form.wav", form=b"AVI "),
+        "no-fmt": pcm16_file(tmp_path / "nofmt.wav", include_fmt=False),
+        "no-data": pcm16_file(tmp_path / "nodata.wav", include_data=False),
+        "stereo": pcm16_file(tmp_path / "stereo.wav", channels=2),
+        "float": pcm16_file(tmp_path / "float.wav", audio_format=3),
+        "8-bit": pcm16_file(tmp_path / "8bit.wav", bits=8),
+        "truncated-data": pcm16_file(tmp_path / "trunc.wav", data_size=100),
+        "odd-data": pcm16_file(tmp_path / "odd.wav", frames=b"\x00\x00\x01"),
+        "zero-rate": pcm16_file(tmp_path / "rate.wav", rate=0),
+        "short-fmt": short_fmt,
+        "cut-chunk-header": cut_header,
+    }
+
+
+MALFORMED = [
+    "not-riff", "too-short", "not-wave", "no-fmt", "no-data", "stereo", "float", "8-bit",
+    "truncated-data", "odd-data", "zero-rate", "short-fmt", "cut-chunk-header",
+]
+
+
+class TestMalformedFilesThroughWav2Color:
+    @pytest.mark.parametrize("name", MALFORMED)
+    def test_exit_2_with_the_read_wav_message(self, tmp_path, capsys, name):
+        path = malformed_inputs(tmp_path)[name]
+        with pytest.raises(WavFormatError) as raised:
+            read_wav(path)
+        out = tmp_path / "out"
+        args = ["wav2color", "--in", str(path), "--fundamental", "440",
+                "--out-csv", str(out / "c.csv"), "--out-img", str(out / "c.ppm")]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {raised.value}\n"
+        assert not out.exists()
+
+    def test_format_errors_come_before_analysis_errors(self, tmp_path, capsys):
+        # a stereo file and a fundamental at Nyquist: the file is named first
+        path = pcm16_file(tmp_path / "stereo.wav", channels=2)
+        assert main(["wav2color", "--in", str(path), "--fundamental", "4000"]) == 2
+        assert capsys.readouterr().err == "error: unsupported channel count 2 (only mono = 1)\n"

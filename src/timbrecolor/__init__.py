@@ -7,127 +7,18 @@ colorimetry down to 8-bit sRGB.  A small gesture layer moves sampled
 paths (ADSR envelopes among them) between parameter spaces.
 """
 
-from .bessel import DEFAULT_TAIL_TOLERANCE, BesselCoefficients, bessel_j, bessel_row, energy_order
-from .color import (
-    OCTAVE_TOP_NM,
-    VISIBLE_MAX_NM,
-    VISIBLE_MIN_NM,
-    CMFFormatError,
-    ColorMatchingTable,
-    DegenerateSpectrumError,
-    OctaveMap,
-    SRGBColor,
-    XYZColor,
-    chromaticity,
-    freq_to_wavelength,
-    load_cmf,
-    octave_reduce,
-    project_to_cube,
-    spectrum_to_xyz,
-    spectrum_xyz_raw,
-    standard_observer,
-    wavelength_to_xyz,
-    xyz_to_srgb,
-)
-from .gesture import (
-    ENDPOINT_TOLERANCE,
-    Band,
-    Digraph,
-    EndpointError,
-    Gesture,
-    GestureFormatError,
-    SampledPath,
-    adsr_gesture,
-    concatenate,
-    constant_path,
-    linear_band,
-    make_gesture,
-    map_gesture,
-    map_path,
-    parse_gesture,
-    reverse,
-    serialize_gesture,
-)
-from .ppm import read_ppm, write_ppm
-from .spectrum import (
-    MERGE_TOLERANCE_HZ,
-    LineSpectrum,
-    SpectralLine,
-    fm_sidebands,
-    fold_spectrum,
-    synthesize,
-)
-from .synth import (
-    AMPLITUDE_FLOOR,
-    FMParams,
-    SampledWave,
-    analyze_harmonics,
-    fm_sample,
-    render_fm_path,
-    render_fm_wave,
-)
-from .wavefile import WavFormatError, read_wav, write_wav
+from . import bessel, color, gesture, ppm, spectrum, synth, wavefile
+from .bessel import *  # noqa: F403
+from .color import *  # noqa: F403
+from .gesture import *  # noqa: F403
+from .ppm import *  # noqa: F403
+from .spectrum import *  # noqa: F403
+from .synth import *  # noqa: F403
+from .wavefile import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AMPLITUDE_FLOOR",
-    "Band",
-    "BesselCoefficients",
-    "CMFFormatError",
-    "ColorMatchingTable",
-    "DEFAULT_TAIL_TOLERANCE",
-    "DegenerateSpectrumError",
-    "Digraph",
-    "ENDPOINT_TOLERANCE",
-    "EndpointError",
-    "FMParams",
-    "Gesture",
-    "GestureFormatError",
-    "LineSpectrum",
-    "MERGE_TOLERANCE_HZ",
-    "OCTAVE_TOP_NM",
-    "OctaveMap",
-    "SRGBColor",
-    "SampledPath",
-    "SampledWave",
-    "SpectralLine",
-    "VISIBLE_MAX_NM",
-    "VISIBLE_MIN_NM",
-    "WavFormatError",
-    "XYZColor",
-    "adsr_gesture",
-    "analyze_harmonics",
-    "bessel_j",
-    "bessel_row",
-    "chromaticity",
-    "concatenate",
-    "constant_path",
-    "energy_order",
-    "fm_sample",
-    "fm_sidebands",
-    "fold_spectrum",
-    "freq_to_wavelength",
-    "linear_band",
-    "load_cmf",
-    "make_gesture",
-    "map_gesture",
-    "map_path",
-    "octave_reduce",
-    "parse_gesture",
-    "project_to_cube",
-    "read_ppm",
-    "read_wav",
-    "render_fm_path",
-    "render_fm_wave",
-    "reverse",
-    "serialize_gesture",
-    "spectrum_to_xyz",
-    "spectrum_xyz_raw",
-    "standard_observer",
-    "synthesize",
-    "wavelength_to_xyz",
-    "write_ppm",
-    "write_wav",
-    "xyz_to_srgb",
+__all__ = [  # each name is listed once, in its module's __all__
+    *bessel.__all__, *color.__all__, *gesture.__all__, *ppm.__all__,
+    *spectrum.__all__, *synth.__all__, *wavefile.__all__,
 ]

@@ -308,8 +308,9 @@ def _run_fm_path(args: argparse.Namespace) -> int:
 
 def _lines_csv(fh, spectrum: LineSpectrum) -> None:
     fh.write("frequency,amplitude,phase\n")
-    for line in spectrum.lines:
-        fh.write(f"{line.frequency:.6f},{line.amplitude:.6f},{line.phase:.6f}\n")
+    columns = (spectrum.frequencies, spectrum.amplitudes, spectrum.phases)
+    for frequency, amplitude, phase in zip(*(column.tolist() for column in columns)):
+        fh.write(f"{frequency:.6f},{amplitude:.6f},{phase:.6f}\n")
 
 
 def _run_wav2color(args: argparse.Namespace) -> int:
@@ -333,7 +334,7 @@ def _run_wav2color(args: argparse.Namespace) -> int:
     write_ppm(s["out_img"], swatch)
 
     print(
-        f"wav2color: {len(spectrum.lines)} lines -> "
+        f"wav2color: {len(spectrum.frequencies)} lines -> "
         f"#{srgb.r:02X}{srgb.g:02X}{srgb.b:02X} ({s['out_csv']}, {s['out_img']})"
     )
     return 0

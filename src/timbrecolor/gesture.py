@@ -46,6 +46,17 @@ ENDPOINT_TOLERANCE = 1e-9
 # adsr_gesture's path size cap; envelope-transfer peaks near 70 MB RSS at 10**6 points
 MAX_PATH_POINTS = 1_000_000
 _TEXT_ROWS = 4096  # path lines per %-format in _gesture_text
+# parse_gesture's records by tag: what an early end of text names, the form a bad line
+# names, the field count with the tag (0: any from 2 up), the field type, its error
+_RECORDS = {
+    "digraph": ("'digraph V A' header", "'digraph V A' header", 3, int, "counts must be integers"),
+    "a": ("arrow line 'a SRC DST'", "'a SRC DST'", 3, int, "arrow endpoints must be integers"),
+    "v": ("vertex line 'v X0 ...'", "'v X0 X1 ...'", 0, float, "coordinates must be floats"),
+    "p": (
+        "path header 'p INDEX COUNT'", "'p INDEX COUNT'", 3, int, "path header fields must be integers"
+    ),
+    "": ("path sample line", "", 0, float, "coordinates must be floats"),  # untagged
+}
 
 
 class EndpointError(ValueError):
@@ -387,58 +398,27 @@ def parse_gesture(text: str) -> Gesture:
     All coordinates are decimal floats; the shared dimension d is set by
     the first vertex line.
     """
-    lines: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            lines.append((lineno, stripped))
-    cursor = 0
+    lines = (raw.split("#", 1)[0].split() for raw in text.splitlines())
+    records = ((lineno, fields) for lineno, fields in enumerate(lines, 1) if fields)
 
-    def take(expect: str) -> tuple[int, str]:
-        nonlocal cursor
-        if cursor >= len(lines):
+    def take(tag: str) -> tuple[int, list]:
+        """The next record's line number and its fields after the tag, converted."""
+        expect, form, width, kind, what = _RECORDS[tag]
+        lineno, fields = next(records, (0, []))
+        if not fields:
             raise GestureFormatError(f"unexpected end of text, expected {expect}")
-        item = lines[cursor]
-        cursor += 1
-        return item
-
-    lineno, header = take("'digraph V A' header")
-    fields = header.split()
-    if len(fields) != 3 or fields[0] != "digraph":
-        raise GestureFormatError(f"line {lineno}: expected 'digraph V A' header")
-    try:
-        vertex_count, arrow_count = int(fields[1]), int(fields[2])
-    except ValueError:
-        raise GestureFormatError(f"line {lineno}: counts must be integers") from None
-
-    arrows = []
-    for _ in range(arrow_count):
-        lineno, line = take("arrow line 'a SRC DST'")
-        fields = line.split()
-        if len(fields) != 3 or fields[0] != "a":
-            raise GestureFormatError(f"line {lineno}: expected 'a SRC DST'")
+        if tag and (fields[0] != tag or len(fields) < 2 or width and len(fields) != width):
+            raise GestureFormatError(f"line {lineno}: expected {form}")
         try:
-            arrows.append((int(fields[1]), int(fields[2])))
+            return lineno, [kind(field) for field in (fields[1:] if tag else fields)]
         except ValueError:
-            raise GestureFormatError(
-                f"line {lineno}: arrow endpoints must be integers"
-            ) from None
+            raise GestureFormatError(f"line {lineno}: {what}") from None
 
-    def parse_point(lineno: int, fields: list[str]) -> list[float]:
-        try:
-            return [float(f) for f in fields]
-        except ValueError:
-            raise GestureFormatError(
-                f"line {lineno}: coordinates must be floats"
-            ) from None
-
+    vertex_count, arrow_count = take("digraph")[1]
+    arrows = [tuple(take("a")[1]) for _ in range(arrow_count)]
     vertex_rows = []
     for _ in range(vertex_count):
-        lineno, line = take("vertex line 'v X0 ...'")
-        fields = line.split()
-        if len(fields) < 2 or fields[0] != "v":
-            raise GestureFormatError(f"line {lineno}: expected 'v X0 X1 ...'")
-        row = parse_point(lineno, fields[1:])
+        lineno, row = take("v")
         if vertex_rows and len(row) != len(vertex_rows[0]):
             raise GestureFormatError(
                 f"line {lineno}: vertex dimension {len(row)} differs from "
@@ -448,33 +428,21 @@ def parse_gesture(text: str) -> Gesture:
 
     paths = []
     for expected_idx in range(arrow_count):
-        lineno, line = take("path header 'p INDEX COUNT'")
-        fields = line.split()
-        if len(fields) != 3 or fields[0] != "p":
-            raise GestureFormatError(f"line {lineno}: expected 'p INDEX COUNT'")
-        try:
-            idx, count = int(fields[1]), int(fields[2])
-        except ValueError:
-            raise GestureFormatError(
-                f"line {lineno}: path header fields must be integers"
-            ) from None
+        lineno, (idx, count) = take("p")
         if idx != expected_idx:
             raise GestureFormatError(
                 f"line {lineno}: path blocks must appear in arrow order, "
                 f"expected index {expected_idx}, got {idx}"
             )
-        samples = []
-        for _ in range(count):
-            lineno, line = take("path sample line")
-            samples.append(parse_point(lineno, line.split()))
+        samples = [take("")[1] for _ in range(count)]
         try:
             paths.append(SampledPath(points=np.array(samples, dtype=np.float64)))
         except ValueError as exc:
             raise GestureFormatError(f"path {idx}: {exc}") from exc
 
-    if cursor != len(lines):
-        extra_lineno = lines[cursor][0]
-        raise GestureFormatError(f"line {extra_lineno}: trailing content")
+    extra = next(records, None)
+    if extra is not None:
+        raise GestureFormatError(f"line {extra[0]}: trailing content")
 
     try:
         digraph = Digraph(vertex_count=vertex_count, arrows=tuple(arrows))

@@ -36,7 +36,6 @@ from .spectrum import LineSpectrum
 
 __all__ = [
     "AMPLITUDE_FLOOR",
-    "MAX_RENDER_SAMPLES",
     "FMParams",
     "SampledWave",
     "fm_sample",
@@ -142,34 +141,6 @@ def _segment_samples(segment_duration_sec: float, sample_rate: int) -> int:
     return seg
 
 
-def render_fm_wave(
-    params: FMParams, duration_sec: float, sample_rate: int
-) -> SampledWave:
-    """Render a single FM voice at fixed parameters.
-
-    The aliasing guard requires the highest energy-significant sideband,
-    carrier + N*modulator with N from the energy tail bound at the given
-    index, to sit below the Nyquist frequency.
-    """
-    rate = _validate_rate(sample_rate)
-    if not (math.isfinite(duration_sec) and duration_sec > 0.0):
-        raise ValueError(f"duration must be positive, got {duration_sec!r}")
-    count = int(round(duration_sec * rate))
-    _check_size(count)
-    n_side = energy_order(params.modulation_index, DEFAULT_TAIL_TOLERANCE)
-    top = params.carrier_hz + n_side * params.modulator_hz
-    if top >= rate / 2.0:
-        raise ValueError(
-            f"aliasing guard: sideband at {top} Hz (order {n_side}) reaches "
-            f"Nyquist {rate / 2.0} Hz"
-        )
-    samples = fm_sample(params, np.arange(count, dtype=np.float64) / rate)
-    peak = float(np.max(np.abs(samples))) if count else 0.0
-    if peak > 1.0:
-        samples = samples / peak
-    return SampledWave(sample_rate=rate, samples=samples)
-
-
 def _fm_path_blocks(carrier_hz, modulator_hz, index_grid, segment_duration_sec, sample_rate) -> tuple:
     """Check a sweep as render_fm_path does, then return its sample count and its
     samples as float64 blocks of _BLOCK_SAMPLES (the last may be shorter)."""
@@ -219,10 +190,37 @@ def render_fm_path(
     total, blocks = _fm_path_blocks(
         carrier_hz, modulator_hz, index_grid, segment_duration_sec, sample_rate
     )
-    out = np.empty(total, dtype=np.float64)
+    return SampledWave(sample_rate=sample_rate, samples=_gather(total, blocks))
+
+
+def render_fm_wave(
+    params: FMParams, duration_sec: float, sample_rate: int
+) -> SampledWave:
+    """Render a single FM voice at fixed parameters: a one-segment sweep.
+
+    render_fm_path's checks apply, and then the aliasing guard: the
+    highest energy-significant sideband, carrier + N*modulator with N
+    from the energy tail bound at the given index, must sit below the
+    Nyquist frequency.
+    """
+    fc, fm, index = params.carrier_hz, params.modulator_hz, params.modulation_index
+    total, blocks = _fm_path_blocks(fc, fm, [index], duration_sec, sample_rate)
+    n_side = energy_order(index, DEFAULT_TAIL_TOLERANCE)
+    top = fc + n_side * fm
+    if top >= sample_rate / 2.0:
+        raise ValueError(
+            f"aliasing guard: sideband at {top} Hz (order {n_side}) reaches "
+            f"Nyquist {sample_rate / 2.0} Hz"
+        )
+    return SampledWave(sample_rate=sample_rate, samples=_gather(total, blocks))
+
+
+def _gather(count: int, blocks) -> np.ndarray:
+    """count samples, given as blocks of _BLOCK_SAMPLES (the last may be shorter), in one array."""
+    out = np.empty(count, dtype=np.float64)
     for k, block in enumerate(blocks):
         out[k * _BLOCK_SAMPLES :][: len(block)] = block
-    return SampledWave(sample_rate=_validate_rate(sample_rate), samples=out)
+    return out
 
 
 def _analysis_window(

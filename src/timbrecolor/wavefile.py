@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .synth import _BLOCK_SAMPLES, SampledWave
+from .synth import _BLOCK_SAMPLES, SampledWave, _gather
 
 __all__ = ["WavFormatError", "write_wav", "read_wav"]
 
@@ -160,7 +160,5 @@ def _pcm16_blocks(fh, count: int):
 def read_wav(path: str | Path) -> SampledWave:
     """Read a 16-bit PCM mono WAV; anything else is rejected by name."""
     with _read_pcm16(path) as (rate, count, blocks):
-        samples = np.empty(count)
-        for k, block in enumerate(blocks):
-            samples[k * _BLOCK_SAMPLES :][: len(block)] = block
+        samples = _gather(count, blocks)
     return SampledWave(sample_rate=rate, samples=samples)

@@ -2,9 +2,11 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -480,7 +482,7 @@ class TestWav2ColorCommand:
         write_wav(wave, path)
         return path, wave
 
-    def test_csv_blocks_match_library_route(self, tmp_path):
+    def test_csv_blocks_match_library_route(self, tmp_path, capsys):
         path, wave = self.make_wave(tmp_path)
         out_csv = tmp_path / "c.csv"
         out_img = tmp_path / "c.ppm"
@@ -517,6 +519,10 @@ class TestWav2ColorCommand:
         swatch = read_ppm(out_img)
         assert swatch.shape == (64, 64, 3)
         assert np.all(swatch == (srgb.r, srgb.g, srgb.b))
+        assert capsys.readouterr().out == (
+            f"wav2color: {len(spectrum.lines)} lines -> "
+            f"#{srgb.r:02X}{srgb.g:02X}{srgb.b:02X} ({out_csv}, {out_img})\n"
+        )
 
     def test_silence_exits_with_an_error(self, tmp_path, capsys):
         silent = SampledWave(sample_rate=44100, samples=np.zeros(22050))
@@ -588,6 +594,91 @@ class TestOverflowingDurations:
         assert main(args) == 0
         strip = read_ppm(tmp_path / "s.ppm")
         assert strip[0, 0].tolist() == [0, 0, 0] and strip[0, 511].tolist() == [128, 128, 128]
+
+
+EDGE_VALUES = ["0", "-0.0", "-1", "5e-324", "1e-300", "1e308", "inf", "-inf", "nan"]
+# every numeric flag of each subcommand, at the small value it keeps while another is at an edge
+EDGE_SETTINGS = {
+    "fm-path": {
+        "fc": "440", "fm": "880", "i-start": "0", "i-end": "1", "i-step": "0.1",
+        "base": "440", "rate": "8000", "seg-dur": "0.01",
+    },
+    "wav2color": {"fundamental": "440", "max-harmonic": "32", "base": "440"},
+    "envelope-transfer": {
+        "attack": "0.05", "decay": "0.15", "sustain-level": "0.7", "sustain": "0.4",
+        "release": "0.3", "samples-per-segment": "2",
+    },
+}
+EDGE_CASES = [
+    (command, flag, value, via)
+    for command, flags in EDGE_SETTINGS.items()
+    for flag in flags
+    for value in EDGE_VALUES
+    for via in ("flag", "config")
+]
+
+
+class TestEdgeValues:
+    """Each numeric flag at the edges of the float range, given as a flag and
+    through --config, with warnings as errors: exit 0 with nothing on stderr,
+    or exit 2 with an error line."""
+
+    @pytest.fixture(scope="class")
+    def tone(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("edge") / "tone.wav"
+        t = np.arange(2205) / 44100  # 0.05 s
+        write_wav(SampledWave(44100, 0.5 * np.sin(2.0 * math.pi * 440.0 * t)), path)
+        return path
+
+    def test_the_table_names_every_numeric_flag(self):
+        options = {
+            "fm-path": cli._FM_PATH_OPTIONS,
+            "wav2color": cli._WAV2COLOR_OPTIONS,
+            "envelope-transfer": cli._ENVELOPE_OPTIONS,
+        }
+        for command, specs in options.items():
+            numeric = [opt.name for opt in specs if opt.kind in (int, float)]
+            assert sorted(numeric) == sorted(EDGE_SETTINGS[command])
+        assert len(EDGE_CASES) == 306
+
+    def argv(self, command, tmp_path, tone, settings):
+        """command with small outputs in tmp_path, then --name=value per setting."""
+        out = {name: str(tmp_path / name) for name in ("p.wav", "p.ppm", "p.csv", "g.txt", "s.ppm")}
+        fixed = {
+            "fm-path": ["--out-wav", out["p.wav"], "--out-img", out["p.ppm"], "--out-csv", out["p.csv"]],
+            "wav2color": ["--in", str(tone), "--out-img", out["p.ppm"], "--out-csv", out["p.csv"]],
+            "envelope-transfer": [
+                "--color", "808080", "--out-gesture", out["g.txt"], "--out-img", out["s.ppm"]
+            ],
+        }[command]
+        return [command, *fixed, *(f"--{name}={value}" for name, value in settings.items())]
+
+    @pytest.mark.parametrize("command", EDGE_SETTINGS)
+    def test_the_small_settings_run(self, tmp_path, capsys, tone, command):
+        assert main(self.argv(command, tmp_path, tone, EDGE_SETTINGS[command])) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command,flag,value,via", EDGE_CASES)
+    def test_exit_0_or_an_error_line(self, tmp_path, capsys, tone, command, flag, value, via):
+        small = {name: v for name, v in EDGE_SETTINGS[command].items() if name != flag}
+        argv = self.argv(command, tmp_path, tone, small)
+        if via == "flag":
+            argv.append(f"--{flag}={value}")
+        else:
+            (tmp_path / "edge.cfg").write_text(f"{flag}={value}\n", encoding="ascii")
+            argv += ["--config", str(tmp_path / "edge.cfg")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses a value its type cannot convert
+                code = exc.code
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == ""
+        else:
+            assert code == 2
+            assert re.search(r"(^|: )error: \S", err.splitlines()[-1]), err
 
 
 class TestEnvelopeTransferCommand:

@@ -643,3 +643,92 @@ class TestSerialization:
         text = "digraph 2 0\nv 0.0\nv 1.0 2.0\n"
         with pytest.raises(GestureFormatError, match="dimension"):
             parse_gesture(text)
+
+
+def _ragged_message() -> str:
+    """numpy's own text for a ragged array, which parse_gesture passes on."""
+    try:
+        np.array([[0.0], [1.0, 2.0]], dtype=np.float64)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError("numpy accepted a ragged array")
+
+
+_HEAD = "digraph 2 1\na 0 1\nv 0.0\nv 1.0\n"  # lines 1-4 of a one-arrow gesture
+_GOOD = _HEAD + "p 0 2\n0.0\n1.0\n"  # lines 5-7: its path
+
+# (text, the exact GestureFormatError message), one case per error the parser raises
+PARSE_ERRORS = {
+    "empty text": ("", "unexpected end of text, expected 'digraph V A' header"),
+    "only comments": ("# none\n\n   \n", "unexpected end of text, expected 'digraph V A' header"),
+    "bad header tag": ("graph 2 1\n", "line 1: expected 'digraph V A' header"),
+    "short header": ("digraph 2\n", "line 1: expected 'digraph V A' header"),
+    "long header": ("digraph 2 1 0\n", "line 1: expected 'digraph V A' header"),
+    "float counts": ("# c\n\ndigraph 2 1.0\n", "line 3: counts must be integers"),
+    "word counts": ("digraph two 1\n", "line 1: counts must be integers"),
+    "end at arrows": ("digraph 2 1\n", "unexpected end of text, expected arrow line 'a SRC DST'"),
+    "bad arrow tag": ("digraph 2 1\nb 0 1\n", "line 2: expected 'a SRC DST'"),
+    "short arrow": ("digraph 2 1\na 0\n", "line 2: expected 'a SRC DST'"),
+    "float arrow": ("digraph 2 1\na 0 1.5\n", "line 2: arrow endpoints must be integers"),
+    "end at vertices": (
+        "digraph 2 1\na 0 1\nv 0.0\n", "unexpected end of text, expected vertex line 'v X0 ...'"
+    ),
+    "bare vertex tag": ("digraph 1 0\nv\n", "line 2: expected 'v X0 X1 ...'"),
+    "bad vertex tag": ("digraph 1 0\nw 1.0\n", "line 2: expected 'v X0 X1 ...'"),
+    "word coordinate": ("digraph 1 0\nv 1.0 oops\n", "line 2: coordinates must be floats"),
+    "vertex dimension": (
+        "digraph 2 0\nv 0.0\n\nv 1.0 2.0\n", "line 4: vertex dimension 2 differs from 1"
+    ),
+    "end at path header": (
+        _HEAD, "unexpected end of text, expected path header 'p INDEX COUNT'"
+    ),
+    "bad path tag": (_HEAD + "q 0 2\n", "line 5: expected 'p INDEX COUNT'"),
+    "short path header": (_HEAD + "p 0\n", "line 5: expected 'p INDEX COUNT'"),
+    "word path count": (_HEAD + "p 0 two\n", "line 5: path header fields must be integers"),
+    "path out of order": (
+        _HEAD + "p 1 2\n",
+        "line 5: path blocks must appear in arrow order, expected index 0, got 1",
+    ),
+    "end at samples": (_HEAD + "p 0 2\n0.0\n", "unexpected end of text, expected path sample line"),
+    "word sample": (_HEAD + "p 0 2\n0.0\n1.0 x\n", "line 7: coordinates must be floats"),
+    "ragged path": (_HEAD + "p 0 2\n0.0\n1.0 2.0\n", "path 0: " + _ragged_message()),
+    "one-sample path": (_HEAD + "p 0 1\n0.0\n", "path 0: path needs at least 2 samples, got 1"),
+    "empty path": (_HEAD + "p 0 0\n", "path 0: path points must be a 2-D array, got shape (0,)"),
+    "infinite sample": (_HEAD + "p 0 2\n0.0\ninf\n", "path 0: path points must be finite"),
+    "ragged before trailing": (
+        _HEAD + "p 0 2\n0.0\n1.0 2.0\nv 1.0\n", "path 0: " + _ragged_message()
+    ),
+    "trailing content": (_GOOD + "v 1.0\n", "line 8: trailing content"),
+    "trailing after comments": (_GOOD + "# c\n\nx\n", "line 10: trailing content"),
+    "start off its vertex": (
+        _HEAD + "p 0 2\n0.5\n1.0\n",
+        "arrow 0: path starts at [0.5], source vertex 0 sits at [0.0]",
+    ),
+    "end off its vertex": (
+        _HEAD + "p 0 2\n0.0\n0.5\n",
+        "arrow 0: path ends at [0.5], target vertex 1 sits at [1.0]",
+    ),
+    "path dimension": (
+        _HEAD + "p 0 2\n0.0 0.0\n1.0 0.0\n",
+        "arrow 0: path dimension 2 differs from vertex dimension 1",
+    ),
+    "no vertices": ("digraph 0 0\n", "vertex count must be a positive integer, got 0"),
+    "arrow off the graph": (
+        "digraph 1 1\na 0 1\nv 0.0\np 0 2\n0.0\n0.0\n", "arrow 0: target 1 outside 0..0"
+    ),
+    "infinite vertex": ("digraph 1 0\nv nan\n", "vertex points must be finite"),
+}
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize("case", PARSE_ERRORS)
+    def test_exact_message(self, case):
+        text, message = PARSE_ERRORS[case]
+        with pytest.raises(GestureFormatError) as info:
+            parse_gesture(text)
+        assert str(info.value) == message
+
+    def test_the_good_text_parses(self):
+        g = parse_gesture(_GOOD)
+        assert g.digraph.arrows == ((0, 1),)
+        assert serialize_gesture(g) == _GOOD

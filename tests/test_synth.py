@@ -130,6 +130,33 @@ class TestRenderFMWave:
         wave = render_fm_wave(FMParams(440.0, 880.0, 5.0), 0.25, RATE)
         assert np.max(np.abs(wave.samples)) <= 1.0
 
+    def test_equals_the_formula_bit_for_bit_past_one_block(self):
+        wave = render_fm_wave(FMParams(440.0, 880.0, 3.0), 70001 / RATE, RATE)
+        t = np.arange(70001, dtype=np.float64) / RATE
+        assert wave.samples.tobytes() == fm_formula(440.0, 880.0, 3.0, t).tobytes()
+
+    def test_an_overflowing_duration_is_a_value_error(self):
+        with pytest.raises(ValueError, match=r"^segment duration 1e\+308 s overflows at 44100 Hz$"):
+            render_fm_wave(FMParams(440.0, 880.0, 1.0), 1e308, RATE)
+
+    def test_a_modulator_past_nyquist_is_refused(self):
+        # energy_order(1e-5) == 0, so the aliasing guard alone let it through
+        with pytest.raises(ValueError, match=r"^modulator must lie in \(0, Nyquist\), got 30000\.0$"):
+            render_fm_wave(FMParams(440.0, 30000.0, 1e-5), 0.01, RATE)
+
+    def test_a_carrier_at_nyquist_is_refused_as_a_sweep_is(self):
+        with pytest.raises(ValueError, match=r"^carrier must lie in \(0, Nyquist\), got 22050\.0$"):
+            render_fm_wave(FMParams(22050.0, 880.0, 0.0), 0.01, RATE)
+
+    def test_a_duration_under_one_sample_is_refused_as_a_sweep_is(self):
+        with pytest.raises(ValueError, match=r"^segment duration shorter than one sample$"):
+            render_fm_wave(FMParams(440.0, 880.0, 1.0), 1e-6, RATE)
+
+    @pytest.mark.parametrize("duration", [0.0, -1.0, math.nan, math.inf])
+    def test_a_duration_that_is_not_positive_is_refused_as_a_sweep_is(self, duration):
+        with pytest.raises(ValueError, match=r"^segment duration must be positive, got "):
+            render_fm_wave(FMParams(440.0, 880.0, 1.0), duration, RATE)
+
 
 class TestRenderFMPath:
     def test_total_sample_count(self):

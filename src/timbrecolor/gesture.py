@@ -373,7 +373,11 @@ def _gesture_text(gesture: Gesture) -> Iterator[str]:
     for idx, path in enumerate(gesture.arrow_paths):
         yield f"p {idx} {path.sample_count}\n"
         for block in np.split(path.points, range(_TEXT_ROWS, path.sample_count, _TEXT_ROWS)):
-            yield line * len(block) % tuple(block.ravel().tolist())
+            bits = block.view(np.int64)  # bitwise: 0.0 == -0.0, but their reprs differ
+            if (bits == bits[0]).all():  # a constant run, such as a sustain
+                yield line % tuple(block[0].tolist()) * len(block)
+            else:
+                yield line * len(block) % tuple(block.ravel().tolist())
 
 
 def serialize_gesture(gesture: Gesture) -> str:
@@ -414,17 +418,21 @@ def parse_gesture(text: str) -> Gesture:
         except ValueError:
             raise GestureFormatError(f"line {lineno}: {what}") from None
 
+    def take_rows(tag: str, count: int, what: str) -> list:
+        """count records' coordinates, all of the first one's dimension."""
+        rows = []
+        for _ in range(count):
+            lineno, row = take(tag)
+            if rows and len(row) != len(rows[0]):
+                raise GestureFormatError(
+                    f"line {lineno}: {what} dimension {len(row)} differs from {len(rows[0])}"
+                )
+            rows.append(row)
+        return rows
+
     vertex_count, arrow_count = take("digraph")[1]
     arrows = [tuple(take("a")[1]) for _ in range(arrow_count)]
-    vertex_rows = []
-    for _ in range(vertex_count):
-        lineno, row = take("v")
-        if vertex_rows and len(row) != len(vertex_rows[0]):
-            raise GestureFormatError(
-                f"line {lineno}: vertex dimension {len(row)} differs from "
-                f"{len(vertex_rows[0])}"
-            )
-        vertex_rows.append(row)
+    vertex_rows = take_rows("v", vertex_count, "vertex")
 
     paths = []
     for expected_idx in range(arrow_count):
@@ -434,7 +442,7 @@ def parse_gesture(text: str) -> Gesture:
                 f"line {lineno}: path blocks must appear in arrow order, "
                 f"expected index {expected_idx}, got {idx}"
             )
-        samples = [take("")[1] for _ in range(count)]
+        samples = take_rows("", count, "path sample")
         try:
             paths.append(SampledPath(points=np.array(samples, dtype=np.float64)))
         except ValueError as exc:

@@ -6,8 +6,10 @@ segment boundaries by evaluating every segment on the shared global
 time axis; with fixed fc and fm that is exactly the accumulated phase,
 so the only discontinuity a boundary can introduce is the index step
 itself, and that stays inaudible for small steps.  A sweep comes out in
-fixed-size blocks, each one in-place FM evaluation with a per-sample
-index, so fm-path's memory does not grow with its length.
+fixed-size blocks, evaluated in place with a per-sample index by two
+threads, half a block each, one block ahead of the consumer, with the
+float operations of one thread.  At most three blocks and four chunk
+buffers are alive, so fm-path's memory does not grow with its length.
 
 Analysis inverts synthesis for periodic signals: project onto sine and
 cosine at integer multiples of a known fundamental over a window holding
@@ -48,6 +50,8 @@ AMPLITUDE_FLOOR = 1e-6
 # fm-path streams in blocks: this caps its time and disk, not its memory
 MAX_RENDER_SAMPLES = 100_000_000
 _BLOCK_SAMPLES = 2**16  # samples per block: fm-path audio, the WAV reader, the fold
+_CHUNK_SAMPLES = 2**14  # per FM evaluation in fm-path's threads; 2**12 lost their gain to the GIL
+_RENDER_THREADS = 2  # they overlap inside np.sin, which releases the GIL
 _MIN_ANALYSIS_PERIODS = 10
 _TWO_PI = 2.0 * math.pi
 
@@ -143,7 +147,8 @@ def _segment_samples(segment_duration_sec: float, sample_rate: int) -> int:
 
 def _fm_path_blocks(carrier_hz, modulator_hz, index_grid, segment_duration_sec, sample_rate) -> tuple:
     """Check a sweep as render_fm_path does, then return its sample count and its
-    samples as float64 blocks of _BLOCK_SAMPLES (the last may be shorter)."""
+    samples as float64 blocks of _BLOCK_SAMPLES (the last may be shorter),
+    computed by _RENDER_THREADS threads a block ahead of the consumer."""
     rate = _validate_rate(sample_rate)
     fc, fm = float(carrier_hz), float(modulator_hz)
     if not (math.isfinite(fc) and 0.0 < fc < rate / 2.0):
@@ -162,15 +167,35 @@ def _fm_path_blocks(carrier_hz, modulator_hz, index_grid, segment_duration_sec, 
     total = seg * len(grid)
     _check_size(total)
 
-    def blocks():
-        scratch = np.empty(min(total, _BLOCK_SAMPLES))  # the modulator, reused
-        for start in range(0, total, _BLOCK_SAMPLES):
-            stop = min(start + _BLOCK_SAMPLES, total)
-            first, last = start // seg, (stop - 1) // seg + 1  # segments [first, last) meet it
-            edges = np.clip(np.arange(first, last + 1) * seg, start, stop)
+    def fill(out: np.ndarray, start: int) -> None:
+        """Samples start, start + 1, ... of the sweep into out, _CHUNK_SAMPLES at a time."""
+        for i in range(0, len(out), _CHUNK_SAMPLES):
+            t = out[i : i + _CHUNK_SAMPLES]
+            lo, hi = start + i, start + i + len(t)
+            first, last = lo // seg, (hi - 1) // seg + 1  # segments [first, last) meet it
+            edges = np.clip(np.arange(first, last + 1) * seg, lo, hi)
             index = np.repeat(grid[first:last], np.diff(edges))
-            t = np.arange(start, stop, dtype=np.float64) / rate  # numpy divides in place
-            yield _fm_wave(t, fc, fm, index, scratch[: stop - start])
+            np.divide(np.arange(lo, hi, dtype=np.float64), rate, out=t)
+            _fm_wave(t, fc, fm, index, np.empty_like(t))
+
+    def blocks():
+        from concurrent.futures import ThreadPoolExecutor  # here, so importing the package stays cheap
+
+        def submit(pool, start: int) -> tuple:
+            out = np.empty(min(_BLOCK_SAMPLES, total - start))
+            share = -(-len(out) // _RENDER_THREADS)  # one task per thread
+            tasks = [pool.submit(fill, out[i : i + share], start + i) for i in range(0, len(out), share)]
+            return out, tasks
+
+        with ThreadPoolExecutor(_RENDER_THREADS) as pool:  # its exit, on close too, joins them
+            ahead = submit(pool, 0)
+            for start in range(_BLOCK_SAMPLES, total + _BLOCK_SAMPLES, _BLOCK_SAMPLES):
+                out, tasks = ahead
+                if start < total:
+                    ahead = submit(pool, start)
+                for task in tasks:
+                    task.result()  # a task's exception is raised here, at its block
+                yield out
 
     return total, blocks()
 

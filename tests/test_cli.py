@@ -154,6 +154,17 @@ class TestFullSpanWithoutUnique:
         assert done.stdout.splitlines()[-1] == "False"
         assert (tmp_path / "p.wav").stat().st_size == 44 + 2 * 3 * 441
 
+    def test_importing_the_cli_loads_no_thread_pool_or_logging(self):
+        # fm-path imports its render pool when it renders: importing stays cheap
+        src = Path(cli.__file__).resolve().parents[1]
+        code = "import sys, timbrecolor.cli\nprint(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))\n"
+        done = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
+
 
 class TestAdjacentDistances:
     @settings(max_examples=100, deadline=None)

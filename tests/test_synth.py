@@ -2,6 +2,8 @@
 
 import cmath
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 
 from oracles import harmonic_coefficients
 from timbrecolor import synth
+from timbrecolor.cli import main
 from timbrecolor.spectrum import fm_sidebands, fold_spectrum, synthesize
 from timbrecolor.synth import (
     AMPLITUDE_FLOOR,
@@ -263,6 +266,54 @@ class TestFMPathBlocks:
 
     def test_the_render_cap_is_unchanged(self):
         assert synth.MAX_RENDER_SAMPLES == 100_000_000
+
+    def test_blocks_are_unchanged_under_fast_thread_switching(self):
+        grid = [0.25 * k for k in range(9)]  # 9 segments of 20000 samples: 3 blocks
+        want = segment_loop(440.0, 880.0, grid, 20000, RATE)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = render_fm_path(440.0, 880.0, grid, 20000 / RATE, RATE).samples
+        finally:
+            sys.setswitchinterval(interval)
+        assert got.tobytes() == want.tobytes()
+
+    def test_an_error_in_the_second_block_reaches_the_consumer_there(self, monkeypatch):
+        real = synth._fm_wave
+
+        def failing(t, *args):
+            if t[0] * RATE > self.BLOCK - 0.5:  # a chunk of the second block or later
+                raise RuntimeError("second block")
+            return real(t, *args)
+
+        monkeypatch.setattr(synth, "_fm_wave", failing)
+        before = threading.active_count()
+        total, blocks = synth._fm_path_blocks(440.0, 880.0, [0.0, 1.0], 2.0, RATE)
+        assert total > 2 * self.BLOCK
+        assert len(next(blocks)) == self.BLOCK
+        with pytest.raises(RuntimeError, match="second block"):
+            next(blocks)
+        assert threading.active_count() == before
+        assert next(blocks, None) is None
+
+    def test_closing_after_the_first_block_stops_the_threads(self):
+        before = threading.active_count()
+        total, blocks = synth._fm_path_blocks(440.0, 880.0, [0.0, 1.0], 2.0, RATE)
+        assert threading.active_count() == before  # the checks start no thread
+        next(blocks)
+        assert threading.active_count() > before
+        blocks.close()
+        assert threading.active_count() == before
+
+    def test_fm_path_leaves_no_thread_behind(self, tmp_path):
+        before = threading.enumerate()
+        args = [
+            "fm-path", "--i-end", "2", "--i-step", "0.5", "--seg-dur", "1.0",  # 4 blocks
+            "--out-wav", str(tmp_path / "p.wav"), "--out-img", str(tmp_path / "p.ppm"),
+            "--out-csv", str(tmp_path / "p.csv"),
+        ]
+        assert main(args) == 0
+        assert threading.enumerate() == before
 
 
 BAD_RATES = [math.inf, -math.inf, math.nan, 0, 8000.5]

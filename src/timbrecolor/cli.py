@@ -23,7 +23,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -110,24 +110,13 @@ def _add_options(parser: argparse.ArgumentParser, options: Sequence[OptionSpec])
         help="key=value file supplying defaults for any flag below",
     )
     for opt in options:
-        flag = f"--{opt.name}"
         if opt.kind is bool:
-            parser.add_argument(
-                flag,
-                dest=_dest(opt.name),
-                action="store_true",
-                default=argparse.SUPPRESS,
-                help=opt.help,
-            )
+            kind = {"action": "store_true"}
         else:
-            parser.add_argument(
-                flag,
-                dest=_dest(opt.name),
-                type=opt.kind,
-                default=argparse.SUPPRESS,
-                metavar=opt.name.upper().replace("-", "_"),
-                help=opt.help,
-            )
+            kind = {"type": opt.kind, "metavar": opt.name.upper().replace("-", "_")}
+        parser.add_argument(
+            f"--{opt.name}", dest=_dest(opt.name), default=argparse.SUPPRESS, help=opt.help, **kind
+        )
 
 
 def _parse_config_value(opt: OptionSpec, raw: str, lineno: int) -> Any:
@@ -177,8 +166,7 @@ def _merge_settings(
         dest = _dest(opt.name)
         if hasattr(args, dest):
             settings[dest] = getattr(args, dest)
-    for opt in options:
-        if settings[_dest(opt.name)] is None:
+        if settings[dest] is None:
             raise ValueError(f"missing required flag --{opt.name}")
     return settings
 
@@ -260,17 +248,15 @@ def _full_span_distance(rgb: np.ndarray) -> float:
     return math.sqrt(widest)
 
 
-def _run_fm_path(args: argparse.Namespace) -> int:
-    s = _merge_settings(args, _FM_PATH_OPTIONS)
+def _run_fm_path(s: dict[str, Any]) -> int:
     # refuse an oversized render before any grid point or color row exists
     seg = _segment_samples(s["seg_dur"], s["rate"])
     _check_size(seg * _grid_count(s["i_start"], s["i_end"], s["i_step"]))
     grid = build_index_grid(s["i_start"], s["i_end"], s["i_step"])
     octave = OctaveMap(base_hz=s["base"], flip=s["flip_orientation"])
-    cmf = standard_observer()
-    xyz, rgb, orders, weights = _fm_path_rows(s["fc"], s["fm"], grid, octave, cmf)
-
+    # the sweep's checks run now, before any color row; its threads start at the first block
     total, blocks = _fm_path_blocks(s["fc"], s["fm"], grid, s["seg_dur"], s["rate"])
+    xyz, rgb, orders, weights = _fm_path_rows(s["fc"], s["fm"], grid, octave, standard_observer())
     _write_pcm16(s["out_wav"], s["rate"], total, blocks)
 
     with _csv_open(s["out_csv"]) as fh:
@@ -286,9 +272,9 @@ def _run_fm_path(args: argparse.Namespace) -> int:
     log_path = s["out_log"] or str(Path(s["out_csv"]).with_suffix(".log"))
     with _csv_open(log_path) as fh:
         fh.write("command: fm-path\n")
-        for key in (_dest(opt.name) for opt in _FM_PATH_OPTIONS):
+        for key, value in s.items():  # in _FM_PATH_OPTIONS order
             if not key.startswith("out_"):
-                fh.write(f"{key}: {s[key]}\n")
+                fh.write(f"{key}: {value}\n")
         fh.write(f"grid_rows: {len(grid)}\n")
         fh.write(f"segment_samples: {seg}\n")
         fh.write(f"total_samples: {total}\n")
@@ -313,8 +299,7 @@ def _lines_csv(fh, spectrum: LineSpectrum) -> None:
         fh.write(f"{frequency:.6f},{amplitude:.6f},{phase:.6f}\n")
 
 
-def _run_wav2color(args: argparse.Namespace) -> int:
-    s = _merge_settings(args, _WAV2COLOR_OPTIONS)
+def _run_wav2color(s: dict[str, Any]) -> int:
     with _read_pcm16(s["in"]) as (rate, count, blocks):  # format errors first
         spectrum = _analyze_blocks(rate, count, blocks, s["fundamental"], s["max_harmonic"])
     octave = OctaveMap(base_hz=s["base"], flip=s["flip_orientation"])
@@ -347,8 +332,7 @@ def _parse_hex_color(text: str) -> tuple[int, int, int]:
     return int(raw[0:2], 16), int(raw[2:4], 16), int(raw[4:6], 16)
 
 
-def _run_envelope_transfer(args: argparse.Namespace) -> int:
-    s = _merge_settings(args, _ENVELOPE_OPTIONS)
+def _run_envelope_transfer(s: dict[str, Any]) -> int:
     base_rgb = _parse_hex_color(s["color"])
     envelope = adsr_gesture(
         attack_level=_ENVELOPE_PEAK,
@@ -380,42 +364,35 @@ def _run_envelope_transfer(args: argparse.Namespace) -> int:
     return 0
 
 
+_COMMANDS = (  # name, help, options, handler of each subcommand
+    ("fm-path", "render a modulation-index sweep and its color path", _FM_PATH_OPTIONS, _run_fm_path),
+    ("wav2color", "map a WAV's harmonic spectrum to one color", _WAV2COLOR_OPTIONS, _run_wav2color),
+    (
+        "envelope-transfer",
+        "push an ADSR envelope gesture into color space",
+        _ENVELOPE_OPTIONS,
+        _run_envelope_transfer,
+    ),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="timbrecolor",
         description="FM timbre sweeps, sound-to-color mapping, envelope gestures",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    fm_path = sub.add_parser(
-        "fm-path",
-        help="render a modulation-index sweep and its color path",
-    )
-    _add_options(fm_path, _FM_PATH_OPTIONS)
-    fm_path.set_defaults(handler=_run_fm_path)
-
-    wav2color = sub.add_parser(
-        "wav2color",
-        help="map a WAV's harmonic spectrum to one color",
-    )
-    _add_options(wav2color, _WAV2COLOR_OPTIONS)
-    wav2color.set_defaults(handler=_run_wav2color)
-
-    envelope = sub.add_parser(
-        "envelope-transfer",
-        help="push an ADSR envelope gesture into color space",
-    )
-    _add_options(envelope, _ENVELOPE_OPTIONS)
-    envelope.set_defaults(handler=_run_envelope_transfer)
-
+    for name, help_text, options, handler in _COMMANDS:
+        command = sub.add_parser(name, help=help_text)
+        _add_options(command, options)
+        command.set_defaults(handler=handler, options=options)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    handler: Callable[[argparse.Namespace], int] = args.handler
     try:
-        return handler(args)
+        return args.handler(_merge_settings(args, args.options))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

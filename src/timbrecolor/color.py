@@ -19,7 +19,7 @@ from importlib import resources
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .spectrum import LineSpectrum, _run_sums
+from .spectrum import LineSpectrum
 
 __all__ = [
     "VISIBLE_MIN_NM",
@@ -249,14 +249,16 @@ def freq_to_wavelength(frequency_hz: ArrayLike, octave: OctaveMap) -> float | np
 def _xyz_rows(freqs, amps, counts, octave: OctaveMap, cmf: ColorMatchingTable) -> np.ndarray:
     """spectrum_xyz_raw of many spectra as (n, 3), from their lines end to
     end with counts[j] lines in spectrum j: one array pass over all lines,
-    each spectrum's sums in its line order."""
+    each spectrum's sums in its line order (np.bincount adds from 0.0 in order)."""
     nonzero = amps != 0.0
-    sizes = np.bincount(np.repeat(np.arange(len(counts)), counts)[nonzero], minlength=len(counts))
-    if not sizes.all():
-        raise DegenerateSpectrumError("spectrum has no nonzero-amplitude lines to color")
+    spectra = np.repeat(np.arange(len(counts)), counts)[nonzero]
     weights = np.abs(amps[nonzero])
+    totals = np.bincount(spectra, weights, len(counts))
+    if not totals.all():
+        raise DegenerateSpectrumError("spectrum has no nonzero-amplitude lines to color")
     rows = _cmf_rows(freq_to_wavelength(octave_reduce(freqs[nonzero], octave), octave), cmf)
-    return _run_sums(weights[:, None] * rows, sizes) / _run_sums(weights, sizes)[:, None]
+    sums = [np.bincount(spectra, weights * column, len(counts)) for column in rows.T]
+    return np.stack(sums, axis=1) / totals[:, None]
 
 
 def spectrum_xyz_raw(

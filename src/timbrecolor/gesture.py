@@ -181,16 +181,12 @@ class Gesture:
                     f"arrow {idx}: path dimension {path.dimension} differs from "
                     f"vertex dimension {points.shape[1]}"
                 )
-            if not _close(path.start, points[src]):
-                raise EndpointError(
-                    f"arrow {idx}: path starts at {path.start.tolist()}, "
-                    f"source vertex {src} sits at {points[src].tolist()}"
-                )
-            if not _close(path.end, points[dst]):
-                raise EndpointError(
-                    f"arrow {idx}: path ends at {path.end.tolist()}, "
-                    f"target vertex {dst} sits at {points[dst].tolist()}"
-                )
+            for moves, k, role, v in (("starts", 0, "source", src), ("ends", -1, "target", dst)):
+                if not _close(path.points[k], points[v]):
+                    raise EndpointError(
+                        f"arrow {idx}: path {moves} at {path.points[k].tolist()}, "
+                        f"{role} vertex {v} sits at {points[v].tolist()}"
+                    )
         object.__setattr__(self, "vertex_points", points)
         object.__setattr__(self, "arrow_paths", paths)
 

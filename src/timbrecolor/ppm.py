@@ -17,8 +17,9 @@ def write_ppm(path: str | Path, pixels: np.ndarray) -> None:
     if arr.dtype != np.uint8:
         raise ValueError(f"pixels must be uint8, got {arr.dtype}")
     height, width = arr.shape[:2]
-    header = f"P6\n{width} {height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + arr.tobytes())
+    with open(path, "wb") as fh:
+        fh.write(f"P6\n{width} {height}\n255\n".encode("ascii"))
+        fh.write(np.ascontiguousarray(arr))  # the pixel buffer itself, not a bytes copy of it
 
 
 def read_ppm(path: str | Path) -> np.ndarray:

@@ -106,15 +106,6 @@ class LineSpectrum:
         return tuple(SpectralLine(*row) for row in rows)
 
 
-def _run_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Sum each run of consecutive values (sizes long) in order, as a loop
-    would: a running sum along rows padded with -0.0, which changes no sum."""
-    runs = np.repeat(np.arange(len(sizes)), sizes)
-    padded = np.full((len(sizes), sizes.max(initial=1), *values.shape[1:]), -0.0)
-    padded[runs, np.arange(len(values)) - (np.cumsum(sizes) - sizes)[runs]] = values
-    return np.cumsum(padded, axis=1)[:, -1]
-
-
 def _sideband_rows(fc_hz: float, fm_hz: float, indices, tail_tolerance=DEFAULT_TAIL_TOLERANCE):
     """(frequencies, amplitudes, N) of many indices: row j holds fm_sidebands
     of index j in its first 2 N_j + 1 entries, then padding."""
@@ -167,9 +158,11 @@ def _fold_rows(freqs: np.ndarray, amps: np.ndarray, counts: np.ndarray) -> tuple
     for i in np.flatnonzero(~dc & (f - f[head] > MERGE_TOLERANCE_HZ)).tolist():
         if f[i] - f[max(head[i], last)] > MERGE_TOLERANCE_HZ:
             opens[i], last = True, i
-    sizes = np.diff(np.flatnonzero(opens[~dc]), append=np.count_nonzero(~dc))
+    # bincount adds each group's amplitudes in order from 0.0, as a loop would;
+    # on empty input it returns int64 whatever the weights, hence 0.0 +
+    sums = 0.0 + np.bincount(np.cumsum(opens[~dc]) - 1, a[~dc])
     lines = np.bincount(row[opens], minlength=len(counts))
-    return f[opens], _run_sums(a[~dc], sizes), lines, 0.0 + _run_sums(a[dc], dc_counts)
+    return f[opens], sums, lines, 0.0 + np.bincount(row[dc], a[dc], len(counts))
 
 
 def fold_spectrum(raw: Iterable[tuple[float, float]]) -> LineSpectrum:

@@ -63,10 +63,9 @@ class FMParams:
     modulation_index: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.carrier_hz) and self.carrier_hz > 0.0):
-            raise ValueError(f"carrier must be positive, got {self.carrier_hz!r}")
-        if not (math.isfinite(self.modulator_hz) and self.modulator_hz > 0.0):
-            raise ValueError(f"modulator must be positive, got {self.modulator_hz!r}")
+        for name, value in (("carrier", self.carrier_hz), ("modulator", self.modulator_hz)):
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be positive, got {value!r}")
         if not (math.isfinite(self.modulation_index) and self.modulation_index >= 0.0):
             raise ValueError(
                 f"modulation index must be >= 0, got {self.modulation_index!r}"
@@ -151,10 +150,9 @@ def _fm_path_blocks(carrier_hz, modulator_hz, index_grid, segment_duration_sec, 
     computed by _RENDER_THREADS threads a block ahead of the consumer."""
     rate = _validate_rate(sample_rate)
     fc, fm = float(carrier_hz), float(modulator_hz)
-    if not (math.isfinite(fc) and 0.0 < fc < rate / 2.0):
-        raise ValueError(f"carrier must lie in (0, Nyquist), got {carrier_hz!r}")
-    if not (math.isfinite(fm) and 0.0 < fm < rate / 2.0):
-        raise ValueError(f"modulator must lie in (0, Nyquist), got {modulator_hz!r}")
+    for name, value, given in (("carrier", fc, carrier_hz), ("modulator", fm, modulator_hz)):
+        if not (math.isfinite(value) and 0.0 < value < rate / 2.0):
+            raise ValueError(f"{name} must lie in (0, Nyquist), got {given!r}")
     grid = [float(i) for i in index_grid]
     if not grid:
         raise ValueError("index grid must be nonempty")

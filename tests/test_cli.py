@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -345,6 +346,45 @@ class TestStreamedWav:
         ]
         assert main(args) == 2
         assert capsys.readouterr().err == "error: carrier must lie in (0, Nyquist), got 30000.0\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--fc", "30000", "carrier must lie in (0, Nyquist), got 30000.0"),
+            ("--fm", "30000", "modulator must lie in (0, Nyquist), got 30000.0"),
+            ("--fm", "1e308", "modulator must lie in (0, Nyquist), got 1e+308"),
+            ("--fc", "-1", "carrier must lie in (0, Nyquist), got -1.0"),
+            ("--i-start", "-1", "modulation indices must be >= 0, got -1.0"),
+        ],
+        ids=["fc-30000", "fm-30000", "fm-1e308", "fc-negative", "i-start-negative"],
+    )
+    def test_the_sweep_is_checked_before_any_color_row(
+        self, tmp_path, capsys, monkeypatch, flag, value, message
+    ):
+        calls = []
+        rows = cli._fm_path_rows
+        monkeypatch.setattr(cli, "_fm_path_rows", lambda *args: calls.append(args) or rows(*args))
+        args = [
+            "fm-path", flag, value, "--i-step", "0.01",
+            "--out-wav", str(tmp_path / "p.wav"),
+            "--out-img", str(tmp_path / "p.ppm"),
+            "--out-csv", str(tmp_path / "p.csv"),
+        ]
+        assert main(args) == 2
+        assert calls == []
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_refused_color_row_starts_no_render_thread(self, tmp_path, capsys, monkeypatch):
+        def refuse(*_args):
+            raise ValueError("no colors")
+
+        monkeypatch.setattr(cli, "_fm_path_rows", refuse)
+        before = threading.enumerate()
+        assert main(["fm-path", "--out-wav", str(tmp_path / "p.wav")]) == 2
+        assert threading.enumerate() == before
+        assert capsys.readouterr().err == "error: no colors\n"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("rate", [2**31, 2**32])

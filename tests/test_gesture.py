@@ -1,5 +1,6 @@
 """Digraph gestures: paths, bands, functorial mapping, serialization."""
 
+import itertools
 import math
 
 import numpy as np
@@ -403,6 +404,36 @@ def h_rows(p, _label):
     return p[:, :2] * 3.0
 
 
+def assert_same_text(got: str, want: str) -> None:
+    """got == want exactly.  A mismatch fails with its first differing line
+    instead of pytest's diff, which takes minutes on texts of thousands of lines."""
+    if got != want:
+        pairs = itertools.zip_longest(got.splitlines(True), want.splitlines(True))
+        lineno, (a, b) = next((n, pair) for n, pair in enumerate(pairs, 1) if pair[0] != pair[1])
+        pytest.fail(f"texts differ first at line {lineno}: got {a!r}, want {b!r}", pytrace=False)
+
+
+class TestSameText:
+    TEXT = "".join(f"{k}\n" for k in range(20_000))
+
+    def test_equal_texts_pass(self):
+        assert_same_text(self.TEXT, "".join(f"{k}\n" for k in range(20_000)))
+
+    @pytest.mark.parametrize(
+        "got, message",
+        [
+            (TEXT.replace("\n12345\n", "\n12346\n"), r"line 12346: got '12346\\n', want '12345\\n'$"),
+            (TEXT[:-1], r"line 20000: got '19999', want '19999\\n'$"),
+            (TEXT + "x", r"line 20001: got 'x', want None$"),
+            (TEXT[:-6], r"line 20000: got None, want '19999\\n'$"),
+        ],
+        ids=["changed-line", "no-final-newline", "extra-line", "missing-line"],
+    )
+    def test_a_mismatch_names_its_first_differing_line(self, got, message):
+        with pytest.raises(pytest.fail.Exception, match=r"^texts differ first at " + message):
+            assert_same_text(got, self.TEXT)
+
+
 def assert_same_gesture(a, b):
     assert a.digraph == b.digraph
     assert np.array_equal(a.vertex_points, b.vertex_points)
@@ -547,7 +578,7 @@ class TestSerialization:
             g.digraph.vertex_count, g.digraph.arrows, g.vertex_points,
             [path.points for path in g.arrow_paths],
         )
-        assert serialize_gesture(g) == want
+        assert_same_text(serialize_gesture(g), want)
 
     def test_text_matches_the_oracle_on_extreme_floats(self):
         d = Digraph(vertex_count=2, arrows=((0, 1), (1, 1)))
@@ -561,7 +592,7 @@ class TestSerialization:
         loop = constant_path(vertices[1], sample_count=3)
         g = make_gesture(d, vertices, [path, loop])
         text = serialize_gesture(g)
-        assert text == gesture_text(2, d.arrows, vertices, [path.points, loop.points])
+        assert_same_text(text, gesture_text(2, d.arrows, vertices, [path.points, loop.points]))
         assert "v -0.0 5e-324 1e-17\n" in text
         assert "1.7976931348623157e+308 -0.0 5e-324\n" in text
         back = parse_gesture(text)
@@ -582,7 +613,7 @@ class TestSerialization:
         paths = [SampledPath(points=points), SampledPath(points=points[::-1])]
         g = make_gesture(d, vertices, paths)
         text = serialize_gesture(g)
-        assert text == gesture_text(2, d.arrows, vertices, [p.points for p in paths])
+        assert_same_text(text, gesture_text(2, d.arrows, vertices, [p.points for p in paths]))
         assert set(text.split()) >= {"-0.0", "5e-324", "1e-07", "1e+16", "1e+300"}
 
     @pytest.mark.parametrize("signed_zero", [None, 1, _TEXT_ROWS - 1, _TEXT_ROWS + 3])
@@ -593,9 +624,9 @@ class TestSerialization:
             points[signed_zero, 1] = -0.0
         d = Digraph(vertex_count=1, arrows=((0, 0),))
         g = make_gesture(d, points[[0]], [SampledPath(points=points)])
-        lines = serialize_gesture(g).splitlines()  # a list: pytest diffs long strings slowly
-        assert lines == gesture_text(1, d.arrows, points[[0]], [points]).splitlines()
-        assert lines.count("0.25 -0.0") == (signed_zero is not None)
+        text = serialize_gesture(g)
+        assert_same_text(text, gesture_text(1, d.arrows, points[[0]], [points]))
+        assert text.splitlines().count("0.25 -0.0") == (signed_zero is not None)
 
     def test_adsr_roundtrip(self):
         g = adsr_gesture(1.0, 0.7, [0.05, 0.15, 0.4, 0.3])
@@ -736,4 +767,4 @@ class TestParseErrors:
     def test_the_good_text_parses(self):
         g = parse_gesture(_GOOD)
         assert g.digraph.arrows == ((0, 1),)
-        assert serialize_gesture(g) == _GOOD
+        assert_same_text(serialize_gesture(g), _GOOD)

@@ -199,6 +199,23 @@ class TestFoldSpectrum:
         assert folded.dc_term == 0.4
         assert folded.frequencies.tolist() == [200.0]
 
+    @pytest.mark.parametrize(
+        "raw",
+        [[(100.0, -0.0)], [(-300.0, 0.0)], [(100.0, -0.0), (100.0, -0.0)], [(100.0, 0.5), (-100.0, 0.5)]],
+    )
+    def test_exact_keys_equal_the_dictionary_fold_sign_of_zero_included(self, raw):
+        # each group sums from +0.0 in input order, as the dictionary does
+        folded = fold_spectrum(raw)
+        want_lines, want_dc = fold_by_dict(raw)
+        assert folded.frequencies.tolist() == list(want_lines)
+        assert np.array_equal(bits(folded.amplitudes), bits(list(want_lines.values())))
+        assert bits(folded.dc_term) == bits(want_dc)
+
+    @pytest.mark.parametrize("raw", [[(100.0, 1.0)], [(0.0, 0.5), (-0.0, 0.25)], []])
+    def test_dc_term_is_a_python_float(self, raw):
+        # with no DC line, or no line above DC, as well as with both
+        assert type(fold_spectrum(raw).dc_term) is float
+
     def test_empty_raw_list_is_an_empty_spectrum(self):
         folded = fold_spectrum([])
         assert len(folded.lines) == 0 and folded.dc_term == 0.0
@@ -287,6 +304,11 @@ class TestArrayRows:
             assert np.array_equal(bits(f[part]), bits(want.frequencies)), j
             assert np.array_equal(bits(a[part]), bits(want.amplitudes)), j
             assert bits(dc[j]) == bits(want.dc_term), j
+
+    @pytest.mark.parametrize("freqs", [[0.0], [1e-9, -0.0], []])
+    def test_fold_rows_are_float64_with_no_line_above_dc(self, freqs):
+        got = _fold_rows(np.array([freqs]), np.ones((1, len(freqs))), np.array([len(freqs)]))
+        assert [part.dtype for part in got] == [np.float64, np.float64, np.int64, np.float64]
 
     def test_fold_rows_report_the_first_bad_line_in_row_order(self):
         freqs = np.array([[1.0, 2.0, np.inf], [np.inf, 1.0, 2.0]])

@@ -33,7 +33,7 @@ from .gesture import _gesture_text, _map_rows, adsr_gesture
 from .ppm import write_ppm
 from .spectrum import LineSpectrum, _fold_rows, _sideband_rows
 from .synth import _analyze_blocks, _check_size, _fm_path_blocks, _segment_samples
-from .wavefile import _read_pcm16, _write_pcm16
+from .wavefile import _check_wav_rate, _read_pcm16, _write_pcm16
 
 __all__ = ["main"]
 
@@ -254,8 +254,9 @@ def _run_fm_path(s: dict[str, Any]) -> int:
     _check_size(seg * _grid_count(s["i_start"], s["i_end"], s["i_step"]))
     grid = build_index_grid(s["i_start"], s["i_end"], s["i_step"])
     octave = OctaveMap(base_hz=s["base"], flip=s["flip_orientation"])
-    # the sweep's checks run now, before any color row; its threads start at the first block
+    # sweep and WAV rate checks run before any color row; the threads start at the first block
     total, blocks = _fm_path_blocks(s["fc"], s["fm"], grid, s["seg_dur"], s["rate"])
+    _check_wav_rate(s["rate"])
     xyz, rgb, orders, weights = _fm_path_rows(s["fc"], s["fm"], grid, octave, standard_observer())
     _write_pcm16(s["out_wav"], s["rate"], total, blocks)
 

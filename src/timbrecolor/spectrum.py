@@ -31,6 +31,17 @@ MERGE_TOLERANCE_HZ = 1e-9
 _TWO_PI = 2.0 * math.pi
 
 
+def _check_lines(f: np.ndarray, a: np.ndarray, p: np.ndarray) -> None:
+    """Line frequencies, amplitudes and phases: the first bad value raises."""
+    for what, values, ok in (
+        ("frequency must be finite and >= 0", f, np.isfinite(f) & (f >= 0.0)),
+        ("amplitude must be finite", a, np.isfinite(a)),
+        ("phase must lie in [0, 2*pi)", p, (p >= 0.0) & (p < _TWO_PI)),
+    ):
+        if not ok.all():
+            raise ValueError(f"line {what}, got {values[~ok][0].item()!r}")
+
+
 @dataclass(frozen=True)
 class SpectralLine:
     """One sinusoidal component: amplitude * sin(2*pi*frequency*t + phase)."""
@@ -40,16 +51,7 @@ class SpectralLine:
     phase: float = 0.0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.frequency) or self.frequency < 0.0:
-            raise ValueError(
-                f"line frequency must be finite and >= 0, got {self.frequency!r}"
-            )
-        if not math.isfinite(self.amplitude):
-            raise ValueError(f"line amplitude must be finite, got {self.amplitude!r}")
-        if not (0.0 <= self.phase < _TWO_PI):
-            raise ValueError(
-                f"line phase must lie in [0, 2*pi), got {self.phase!r}"
-            )
+        _check_lines(*np.array([[self.frequency], [self.amplitude], [self.phase]], dtype=np.float64))
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,13 +82,7 @@ class LineSpectrum:
         f, a, p = self.frequencies, self.amplitudes, self.phases
         if not len(f) == len(a) == len(p):
             raise ValueError(f"line array lengths differ: {len(f)}, {len(a)}, {len(p)}")
-        for what, values, ok in (
-            ("frequency must be finite and >= 0", f, np.isfinite(f) & (f >= 0.0)),
-            ("amplitude must be finite", a, np.isfinite(a)),
-            ("phase must lie in [0, 2*pi)", p, (p >= 0.0) & (p < _TWO_PI)),
-        ):
-            if not ok.all():
-                raise ValueError(f"line {what}, got {values[~ok][0].item()!r}")
+        _check_lines(f, a, p)
         rising = f[1:] > f[:-1]
         if not rising.all():
             k = int(np.argmin(rising))
@@ -106,19 +102,32 @@ class LineSpectrum:
         return tuple(SpectralLine(*row) for row in rows)
 
 
+def _check_voice(carrier_hz, modulator_hz, indices, rate=math.inf) -> tuple:
+    """An FM voice as (carrier, modulator, indices): two floats in (0, rate / 2),
+    then a 1-D float64 array of finite values >= 0.  The first bad value raises."""
+    fc, fm = float(carrier_hz), float(modulator_hz)
+    bound = "lie in (0, Nyquist)" if rate < math.inf else "be positive"
+    for name, value, given in (("carrier", fc, carrier_hz), ("modulator", fm, modulator_hz)):
+        if not 0.0 < value < rate / 2.0:  # nan fails, and inf, as inf < inf is false
+            raise ValueError(f"{name} must {bound}, got {given!r}")
+    x = np.array(indices, dtype=np.float64).reshape(-1)  # a copy: a sweep reads it later
+    ok = (x >= 0.0) & (x < math.inf)
+    if not ok.all():
+        raise ValueError(f"modulation indices must be >= 0, got {x[np.argmin(ok)].item()!r}")
+    return fc, fm, x
+
+
 def _sideband_rows(fc_hz: float, fm_hz: float, indices, tail_tolerance=DEFAULT_TAIL_TOLERANCE):
     """(frequencies, amplitudes, N) of many indices: row j holds fm_sidebands
     of index j in its first 2 N_j + 1 entries, then padding."""
-    fc, fm = float(fc_hz), float(fm_hz)
-    for name, value, given in (("carrier", fc, fc_hz), ("modulator", fm, fm_hz)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"{name} frequency must be positive, got {given!r}")
-    x = _validate_arguments(indices)
-    block, _energy, orders = _bessel_rows(x, _validate_tolerance(tail_tolerance))
-    n = np.arange(2 * orders.max() + 1) - orders[:, None]
+    fc, fm, x = _check_voice(fc_hz, fm_hz, indices)
+    block, _energy, orders = _bessel_rows(_validate_arguments(x), _validate_tolerance(tail_tolerance))
+    top = int(orders.max())
+    if not math.isfinite(fc + top * fm):  # the same float operations as below
+        raise ValueError(f"top sideband {fc!r} + {top} * {fm!r} Hz is not finite")
+    n = np.arange(2 * top + 1) - orders[:, None]
     amps = np.take_along_axis(block.T, np.minimum(np.abs(n), len(block) - 1), axis=1)
-    with np.errstate(over="ignore"):  # the fold reports an infinite line
-        return fc + n * fm, np.where((n < 0) & (n % 2 != 0), -amps, amps), orders
+    return fc + n * fm, np.where((n < 0) & (n % 2 != 0), -amps, amps), orders
 
 
 def fm_sidebands(

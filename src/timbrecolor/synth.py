@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import DEFAULT_TAIL_TOLERANCE, energy_order
-from .spectrum import LineSpectrum
+from .spectrum import LineSpectrum, _check_voice
 
 __all__ = [
     "AMPLITUDE_FLOOR",
@@ -63,13 +63,7 @@ class FMParams:
     modulation_index: float
 
     def __post_init__(self) -> None:
-        for name, value in (("carrier", self.carrier_hz), ("modulator", self.modulator_hz)):
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be positive, got {value!r}")
-        if not (math.isfinite(self.modulation_index) and self.modulation_index >= 0.0):
-            raise ValueError(
-                f"modulation index must be >= 0, got {self.modulation_index!r}"
-            )
+        _check_voice(self.carrier_hz, self.modulator_hz, self.modulation_index)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,8 +115,6 @@ def _validate_rate(sample_rate: int) -> int:
 
 
 def _check_size(total_samples: int) -> None:
-    if total_samples < 1:
-        raise ValueError("render would produce no samples")
     if total_samples > MAX_RENDER_SAMPLES:
         raise ValueError(
             f"size guard: {total_samples} samples exceeds cap {MAX_RENDER_SAMPLES}"
@@ -149,18 +141,12 @@ def _fm_path_blocks(carrier_hz, modulator_hz, index_grid, segment_duration_sec, 
     samples as float64 blocks of _BLOCK_SAMPLES (the last may be shorter),
     computed by _RENDER_THREADS threads a block ahead of the consumer."""
     rate = _validate_rate(sample_rate)
-    fc, fm = float(carrier_hz), float(modulator_hz)
-    for name, value, given in (("carrier", fc, carrier_hz), ("modulator", fm, modulator_hz)):
-        if not (math.isfinite(value) and 0.0 < value < rate / 2.0):
-            raise ValueError(f"{name} must lie in (0, Nyquist), got {given!r}")
-    grid = [float(i) for i in index_grid]
-    if not grid:
+    fc, fm, grid = _check_voice(carrier_hz, modulator_hz, index_grid, rate)
+    if not len(grid):
         raise ValueError("index grid must be nonempty")
-    for a, b in zip(grid, grid[1:]):
+    for a, b in zip(grid.tolist(), grid[1:].tolist()):
         if not b > a:
             raise ValueError(f"index grid must ascend, got {a} then {b}")
-    if grid[0] < 0.0:
-        raise ValueError(f"modulation indices must be >= 0, got {grid[0]}")
     seg = _segment_samples(segment_duration_sec, rate)
     total = seg * len(grid)
     _check_size(total)

@@ -49,12 +49,16 @@ def _pcm16(blocks):
         yield memoryview(out)
 
 
+def _check_wav_rate(rate: int) -> None:
+    if rate > 2**31 - 1:  # the header holds rate and its byte rate, 2 * rate, in 32 bits
+        raise ValueError(f"sample rate {rate} exceeds the WAV limit of 2147483647")
+
+
 def _write_pcm16(path: str | Path, rate: int, count: int, blocks) -> None:
     """Write count samples, given as float64 blocks, header first.  The file
     is opened once the first block passes its check, so a bad first block
     leaves a file at path as it was; a later failure removes the new file."""
-    if rate > 2**31 - 1:  # the header holds rate and its byte rate, 2 * rate, in 32 bits
-        raise ValueError(f"sample rate {rate} exceeds the WAV limit of 2147483647")
+    _check_wav_rate(rate)
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + 2 * count, b"WAVE", b"fmt ", 16,
         _PCM_FORMAT, _CHANNELS, rate, rate * _CHANNELS * (_BITS // 8),

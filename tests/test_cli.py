@@ -9,6 +9,7 @@ import threading
 import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import adsr_level, envelope_strip
-from timbrecolor import cli, gesture
+from timbrecolor import cli, gesture, synth
 from timbrecolor.cli import (
     SQUARE_SIZE,
     SQUARES_PER_ROW,
@@ -401,6 +402,23 @@ class TestStreamedWav:
         )
         assert list(tmp_path.iterdir()) == []
 
+    def test_a_rate_past_the_wav_limit_builds_no_color_row(self, tmp_path, capsys, monkeypatch):
+        # 20 001 color rows would be built, and thrown away, by a late check
+        calls = []
+        monkeypatch.setattr(cli, "_fm_path_rows", lambda *args: calls.append(args))
+        args = [
+            "fm-path", "--rate", "2147483648", "--seg-dur", "1e-9", "--i-step", "0.001",
+            "--out-wav", str(tmp_path / "p.wav"),
+            "--out-img", str(tmp_path / "p.ppm"),
+            "--out-csv", str(tmp_path / "p.csv"),
+        ]
+        assert main(args) == 2
+        assert calls == []
+        assert capsys.readouterr().err == (
+            "error: sample rate 2147483648 exceeds the WAV limit of 2147483647\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
 
 def chain_rows(fc, fm, grid, octave, cmf):
     """_fm_path_rows's four arrays, one index at a time through the public
@@ -730,6 +748,84 @@ class TestEdgeValues:
         else:
             assert code == 2
             assert re.search(r"(^|: )error: \S", err.splitlines()[-1]), err
+
+
+# one fault of the FM voice per case: the carrier and the modulator at -1, 0,
+# nan and inf, the index at -1, nan and inf, the other two values sound
+VOICE_FAULTS = [
+    (field, value)
+    for field, values in (
+        ("carrier", [-1.0, 0.0, math.nan, math.inf]),
+        ("modulator", [-1.0, 0.0, math.nan, math.inf]),
+        ("index", [-1.0, math.nan, math.inf]),
+    )
+    for value in values
+]
+VOICE_ENTRIES = ["FMParams", "fm_sidebands", "render_fm_path", "render_fm_wave", "fm-path"]
+
+
+class TestVoiceFaults:
+    """Every entry point refuses each fault of the FM voice with the one message
+    of the shared check, before any sample is computed and without a numpy warning."""
+
+    @staticmethod
+    def expected(entry, field, value):
+        if field == "index":
+            if entry == "fm-path" and not math.isfinite(value):
+                return "grid bounds and step must be finite"  # the grid is checked first
+            return f"modulation indices must be >= 0, got {value!r}"
+        if entry in ("FMParams", "fm_sidebands"):  # no sample rate is known
+            return f"{field} must be positive, got {value!r}"
+        return f"{field} must lie in (0, Nyquist), got {value!r}"
+
+    @pytest.mark.parametrize("field, value", VOICE_FAULTS)
+    @pytest.mark.parametrize("entry", VOICE_ENTRIES)
+    def test_one_message_per_fault_before_any_sample(
+        self, tmp_path, capsys, monkeypatch, entry, field, value
+    ):
+        voice = {"carrier": 440.0, "modulator": 880.0, "index": 1.0, field: value}
+        fc, fm, index = voice["carrier"], voice["modulator"], voice["index"]
+        samples = []
+        monkeypatch.setattr(synth, "_fm_wave", lambda *args: samples.append(args))
+        message = self.expected(entry, field, value)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if entry == "fm-path":
+                args = [
+                    "fm-path", f"--fc={fc!r}", f"--fm={fm!r}",
+                    f"--i-start={index!r}", "--i-end=2", "--i-step=0.5", "--seg-dur=0.01",
+                    "--out-wav", str(tmp_path / "p.wav"),
+                    "--out-img", str(tmp_path / "p.ppm"),
+                    "--out-csv", str(tmp_path / "p.csv"),
+                ]
+                assert main(args) == 2
+                assert capsys.readouterr() == ("", f"error: {message}\n")
+                assert list(tmp_path.iterdir()) == []
+            else:
+                # a params object that skipped FMParams' check reaches the render's own
+                params = SimpleNamespace(carrier_hz=fc, modulator_hz=fm, modulation_index=index)
+                call = {
+                    "FMParams": lambda: FMParams(fc, fm, index),
+                    "fm_sidebands": lambda: fm_sidebands(fc, fm, index),
+                    "render_fm_path": lambda: render_fm_path(fc, fm, [index], 0.01, 44100),
+                    "render_fm_wave": lambda: render_fm_wave(params, 0.01, 44100),
+                }[entry]
+                with pytest.raises(ValueError) as info:
+                    call()
+                assert str(info.value) == message
+        assert caught == []
+        assert samples == []
+
+    def test_an_overflowing_top_sideband_is_refused(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match=r"^top sideband 440\.0 \+ 19 \* 1e\+308 Hz is not finite$"):
+                fm_sidebands(440.0, 1e308, 5.0)
+        assert caught == []
+
+    def test_a_voice_at_index_zero_keeps_its_one_line(self):
+        # the top sideband of index 0 is the carrier itself, whatever the modulator
+        assert fm_sidebands(440.0, 1e308, 0.0) == [(440.0, 1.0)]
 
 
 class TestEnvelopeTransferCommand:

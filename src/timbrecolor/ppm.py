@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -25,22 +26,14 @@ def write_ppm(path: str | Path, pixels: np.ndarray) -> None:
 def read_ppm(path: str | Path) -> np.ndarray:
     """Read a binary PPM written by write_ppm back to (H, W, 3) uint8."""
     blob = Path(path).read_bytes()
-    fields: list[bytes] = []
-    offset = 0
-    while len(fields) < 4:
-        while offset < len(blob) and blob[offset : offset + 1].isspace():
-            offset += 1
-        start = offset
-        while offset < len(blob) and not blob[offset : offset + 1].isspace():
-            offset += 1
-        if start == offset:
-            raise ValueError("malformed PPM header")
-        fields.append(blob[start:offset])
-    offset += 1  # single whitespace after maxval
-    magic, width, height, maxval = fields
+    match = re.match(rb"\s*(\S+)\s+(\S+)\s+(\S+)\s+(\S+)", blob)  # \s: the bytes isspace accepts
+    if match is None:
+        raise ValueError("malformed PPM header")
+    magic, width, height, maxval = match.groups()
     if magic != b"P6" or maxval != b"255":
         raise ValueError("only P6 with maxval 255 is supported")
     w, h = int(width), int(height)
+    offset = match.end() + 1  # single whitespace after maxval
     body = blob[offset : offset + w * h * 3]
     if len(body) != w * h * 3:
         raise ValueError("PPM pixel data truncated")

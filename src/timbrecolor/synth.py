@@ -6,10 +6,10 @@ segment boundaries by evaluating every segment on the shared global
 time axis; with fixed fc and fm that is exactly the accumulated phase,
 so the only discontinuity a boundary can introduce is the index step
 itself, and that stays inaudible for small steps.  A sweep comes out in
-fixed-size blocks, evaluated in place with a per-sample index by two
-threads, half a block each, one block ahead of the consumer, with the
-float operations of one thread.  At most three blocks and four chunk
-buffers are alive, so fm-path's memory does not grow with its length.
+fixed-size blocks, one ahead of the consumer: sample k plays grid[k // seg]
+at time k / rate, one chunk per task on two threads, in place and with the
+float operations of one thread.  At most three blocks and two chunk buffers
+per thread are alive, so the render's memory does not grow with the sweep.
 
 Analysis inverts synthesis for periodic signals: project onto sine and
 cosine at integer multiples of a known fundamental over a window holding
@@ -47,7 +47,7 @@ __all__ = [
 ]
 
 AMPLITUDE_FLOOR = 1e-6
-# fm-path streams in blocks: this caps its time and disk, not its memory
+# caps fm-path's time and disk; its audio streams in blocks, but its image grows with the grid
 MAX_RENDER_SAMPLES = 100_000_000
 _BLOCK_SAMPLES = 2**16  # samples per block: fm-path audio, the WAV reader, the fold
 _CHUNK_SAMPLES = 2**14  # per FM evaluation in fm-path's threads; 2**12 lost their gain to the GIL
@@ -93,15 +93,16 @@ def fm_sample(params: FMParams, t: float | np.ndarray) -> float | np.ndarray:
     if np.any(times < 0.0):
         raise ValueError("time must be nonnegative")
     fc, fm, index = params.carrier_hz, params.modulator_hz, params.modulation_index
-    value = _fm_wave(times, fc, fm, index, np.empty_like(times))
+    value = _fm_wave(times, fc, fm, index)
     if np.isscalar(t) or getattr(t, "ndim", 0) == 0:
         return float(value)
     return value
 
 
-def _fm_wave(t: np.ndarray, fc: float, fm: float, index, scratch: np.ndarray) -> np.ndarray:
-    """sin((2*pi*fc)*t + index*sin((2*pi*fm)*t)) into t, the modulator into scratch."""
-    np.sin(np.multiply(t, _TWO_PI * fm, out=scratch), out=scratch)
+def _fm_wave(t: np.ndarray, fc: float, fm: float, index) -> np.ndarray:
+    """sin((2*pi*fc)*t + index*sin((2*pi*fm)*t)) into t."""
+    scratch = np.multiply(t, _TWO_PI * fm, out=np.empty_like(t))  # with out=, a 0-d t gives an array, not a scalar
+    np.sin(scratch, out=scratch)
     scratch *= index
     t *= _TWO_PI * fc
     t += scratch
@@ -152,23 +153,20 @@ def _fm_path_blocks(carrier_hz, modulator_hz, index_grid, segment_duration_sec, 
     _check_size(total)
 
     def fill(out: np.ndarray, start: int) -> None:
-        """Samples start, start + 1, ... of the sweep into out, _CHUNK_SAMPLES at a time."""
-        for i in range(0, len(out), _CHUNK_SAMPLES):
-            t = out[i : i + _CHUNK_SAMPLES]
-            lo, hi = start + i, start + i + len(t)
-            first, last = lo // seg, (hi - 1) // seg + 1  # segments [first, last) meet it
-            edges = np.clip(np.arange(first, last + 1) * seg, lo, hi)
-            index = np.repeat(grid[first:last], np.diff(edges))
-            np.divide(np.arange(lo, hi, dtype=np.float64), rate, out=t)
-            _fm_wave(t, fc, fm, index, np.empty_like(t))
+        """Samples start, start + 1, ... of the sweep into out: sample k plays grid[k // seg]."""
+        k = np.arange(start, start + len(out))
+        np.divide(k, rate, out=out)
+        index = grid[np.floor_divide(k, seg, out=k)]
+        del k  # freed before _fm_wave allocates its scratch
+        _fm_wave(out, fc, fm, index)
 
     def blocks():
         from concurrent.futures import ThreadPoolExecutor  # here, so importing the package stays cheap
 
         def submit(pool, start: int) -> tuple:
             out = np.empty(min(_BLOCK_SAMPLES, total - start))
-            share = -(-len(out) // _RENDER_THREADS)  # one task per thread
-            tasks = [pool.submit(fill, out[i : i + share], start + i) for i in range(0, len(out), share)]
+            tasks = [pool.submit(fill, out[i : i + _CHUNK_SAMPLES], start + i)
+                     for i in range(0, len(out), _CHUNK_SAMPLES)]
             return out, tasks
 
         with ThreadPoolExecutor(_RENDER_THREADS) as pool:  # its exit, on close too, joins them
@@ -251,15 +249,12 @@ def _analysis_window(
     for periods in range(periods_max, lowest - 1, -1):
         span = periods * rate / fundamental_hz
         length = int(round(span))
-        if length > sample_count:
-            continue
         mismatch = abs(span - length)
         if mismatch < best_mismatch:
             best_mismatch = mismatch
             best = (length, periods)
             if mismatch < 1e-6:
                 break
-    assert best is not None
     return best
 
 
@@ -279,13 +274,14 @@ def analyze_harmonics(
     bin is bin n*P/g of one real FFT of one folded cycle: the window cut
     into g pieces of L/g samples and summed (2205 samples holding 22
     periods at 440 Hz and 44.1 kHz, whatever L is).  The fold is streamed,
-    a few rows at a time, so its memory does not grow with L.  Otherwise
+    a block at a time, so its memory does not grow with L.  Otherwise
     (261.63 Hz, or 440.0000001 Hz, at 44.1 kHz) the window is projected
     onto a sampled sine and cosine per harmonic: a bin only near n*P
     would bias the phase of the top harmonics.
     """
     samples = wave.samples
-    spectrum = _analyze_blocks(wave.sample_rate, len(samples), [samples], fundamental_hz, max_harmonic)
+    blocks = [samples[k : k + _BLOCK_SAMPLES] for k in range(0, len(samples), _BLOCK_SAMPLES)]  # views
+    spectrum = _analyze_blocks(wave.sample_rate, len(samples), blocks, fundamental_hz, max_harmonic)
     length = _analysis_window(len(samples), float(fundamental_hz), wave.sample_rate)[0]
     return dataclasses.replace(spectrum, dc_term=float(np.mean(samples[:length])))
 
@@ -293,10 +289,9 @@ def analyze_harmonics(
 def _fold(blocks, length: int, cycle: int) -> np.ndarray:
     """window.reshape(-1, cycle).sum(axis=0) bit for bit, window being the first
     length samples of blocks: numpy's sum starts from +0.0 and adds rows in
-    order, so whole rows go through it _BLOCK_SAMPLES at most at a time,
-    stacked under the running sum."""
+    order, so each block's whole rows go through it stacked under the running
+    sum, and blocks of at most _BLOCK_SAMPLES keep that stack small."""
     acc, pos = np.zeros(cycle), 0
-    step = max(1, _BLOCK_SAMPLES // cycle)
     for block in blocks:
         block = block[: length - pos]
         at = pos % cycle
@@ -304,8 +299,7 @@ def _fold(blocks, length: int, cycle: int) -> np.ndarray:
         acc[at : at + head] += block[:head]
         whole = (len(block) - head) // cycle * cycle
         rows = block[head : head + whole].reshape(-1, cycle)
-        for k in range(0, len(rows), step):
-            np.sum(np.vstack((acc, rows[k : k + step])), axis=0, out=acc)
+        np.sum(np.vstack((acc, rows)), axis=0, out=acc)
         tail = block[head + whole :]
         acc[: len(tail)] += tail
         pos += len(block)

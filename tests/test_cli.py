@@ -543,6 +543,26 @@ class TestConfigFile:
         )
         assert (out / "p.csv").read_text() == (flag_dir / "p.csv").read_text()
 
+    @pytest.mark.parametrize("value", ["false", "False", "0", "no", "off"])
+    def test_a_false_boolean_gives_the_bytes_of_no_flag(self, tmp_path, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"flip-orientation={value}\n")
+        with_cfg = run_fm_path(tmp_path / "with_cfg", "--config", str(cfg))
+        without = run_fm_path(tmp_path / "without")
+        flipped = run_fm_path(tmp_path / "flipped", "--flip-orientation")
+        for name in ("p.wav", "p.ppm", "p.csv", "p.log"):
+            assert (with_cfg / name).read_bytes() == (without / name).read_bytes()
+        assert (flipped / "p.csv").read_bytes() != (without / "p.csv").read_bytes()
+
+    def test_a_boolean_that_is_neither_is_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("i-end=0.5\nflip-orientation=maybe\n")
+        assert main(["fm-path", "--config", str(cfg), "--out-wav", str(tmp_path / "p.wav")]) == 2
+        assert capsys.readouterr().err == (
+            "error: config line 2: boolean key 'flip-orientation' got 'maybe'\n"
+        )
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["run.cfg"]
+
 
 class TestWav2ColorCommand:
     def make_wave(self, tmp_path, index=2.0):

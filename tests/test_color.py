@@ -14,6 +14,7 @@ from timbrecolor.color import (
     VISIBLE_MAX_NM,
     VISIBLE_MIN_NM,
     CMFFormatError,
+    ColorMatchingTable,
     DegenerateSpectrumError,
     OctaveMap,
     SRGBColor,
@@ -113,6 +114,24 @@ class TestLoadCMF:
     def test_comments_and_blanks_ignored(self):
         text = "\n# header\n" + synthetic_table_text() + "\n# trailer\n"
         assert len(load_cmf(text).wavelengths) == 81
+
+
+class TestColorMatchingTable:
+    GRID = 380.0 + 5.0 * np.arange(81)
+
+    def test_a_shifted_grid_is_refused_by_its_bounds(self):
+        text = "".join(f"{w + 5.0} 0.1 0.2 0.3\n" for w in self.GRID)  # 385 to 785 nm
+        with pytest.raises(CMFFormatError) as info:
+            load_cmf(text)
+        assert str(info.value) == "grid must cover [380.0, 780.0] nm, got [385.0, 785.0]"
+
+    @pytest.mark.parametrize("name", ["xbar", "ybar", "zbar"])
+    def test_a_short_column_is_refused_by_name(self, name):
+        columns = {column: np.ones(81) for column in ("xbar", "ybar", "zbar")}
+        columns[name] = np.ones(80)
+        with pytest.raises(CMFFormatError) as info:
+            ColorMatchingTable(self.GRID, **columns)
+        assert str(info.value) == f"column {name} length differs from grid"
 
 
 class TestStandardObserver:

@@ -115,6 +115,8 @@ class TestSampledPath:
             SampledPath(points=np.zeros(4))
         with pytest.raises(ValueError):
             SampledPath(points=np.array([[0.0], [np.inf]]))
+        with pytest.raises(ValueError, match=r"^path points need at least 1 coordinate$"):
+            SampledPath(points=np.zeros((3, 0)))
 
     def test_accessors(self):
         p = SampledPath(points=np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]))
@@ -226,8 +228,23 @@ class TestLinearBand:
         b = path_between([0.0], [2.0])
         with pytest.raises(EndpointError):
             Band(rows=(a, b))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^band needs at least 2 rows, got 1$"):
             Band(rows=(a,))
+
+    @pytest.mark.parametrize("samples, dimension", [(5, 1), (4, 2)])
+    def test_band_refuses_a_row_of_another_shape(self, samples, dimension):
+        a = path_between([0.0], [1.0], samples=4)
+        other = path_between([0.0] * dimension, [1.0] * dimension, samples=samples)
+        with pytest.raises(ValueError) as info:
+            Band(rows=(a, a, other))
+        assert str(info.value) == f"band row 2 has shape ({samples}, {dimension}), expected (4, 1)"
+
+    @pytest.mark.parametrize("row_count", [1, 0, -1])
+    def test_linear_band_refuses_fewer_than_two_rows(self, row_count):
+        a = path_between([0.0], [1.0])
+        with pytest.raises(ValueError) as info:
+            linear_band(a, a, row_count)
+        assert str(info.value) == f"band needs at least 2 rows, got {row_count}"
 
 
 class TestMakeGesture:

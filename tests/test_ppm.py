@@ -3,6 +3,7 @@
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from timbrecolor.ppm import read_ppm, write_ppm
 
@@ -32,3 +33,63 @@ class TestWritePPM:
             tracemalloc.stop()
         assert peak < pixels.nbytes
         assert (tmp_path / "big.ppm").stat().st_size == len(b"P6\n2048 1024\n255\n") + pixels.nbytes
+
+    @pytest.mark.parametrize(
+        "pixels, message",
+        [
+            (np.zeros((2, 3), dtype=np.uint8), "pixels must have shape (H, W, 3), got (2, 3)"),
+            (np.zeros((2, 3, 4), dtype=np.uint8), "pixels must have shape (H, W, 3), got (2, 3, 4)"),
+            (np.zeros((2, 3, 3)), "pixels must be uint8, got float64"),
+            (np.zeros((2, 3, 3), dtype=np.int64), "pixels must be uint8, got int64"),
+        ],
+        ids=["2-d", "4-channels", "float64", "int64"],
+    )
+    def test_a_bad_array_is_refused_before_the_file_is_opened(self, tmp_path, pixels, message):
+        with pytest.raises(ValueError) as info:
+            write_ppm(tmp_path / "a.ppm", pixels)
+        assert str(info.value) == message
+        assert list(tmp_path.iterdir()) == []
+
+
+PIXELS = bytes(range(18))  # a 3 x 2 image
+
+
+class TestReadPPM:
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            b"P6\n3 2\n255\n" + PIXELS,
+            b" \t\n\r\x0b\x0cP6\t3\r2\x0b255\x0c" + PIXELS,  # the six whitespace bytes
+            b"P6  3\n\n2 \t 255\r" + PIXELS + b"trailing bytes",
+        ],
+        ids=["written", "every-whitespace", "runs-and-trailer"],
+    )
+    def test_fields_are_split_at_any_whitespace_and_one_byte_ends_the_header(self, tmp_path, blob):
+        (tmp_path / "a.ppm").write_bytes(blob)
+        assert read_ppm(tmp_path / "a.ppm").tobytes() == PIXELS
+        assert read_ppm(tmp_path / "a.ppm").shape == (2, 3, 3)
+
+    @pytest.mark.parametrize(
+        "blob, message",
+        [
+            (b"", "malformed PPM header"),
+            (b" \n\t", "malformed PPM header"),
+            (b"P6\n3 2", "malformed PPM header"),
+            (b"P6\n3 2\n", "malformed PPM header"),
+            (b"P6\n3 2\n\n\n", "malformed PPM header"),
+            (b"P5\n3 2\n255\n" + PIXELS, "only P6 with maxval 255 is supported"),
+            (b"P6\n3 2\n65535\n" + PIXELS, "only P6 with maxval 255 is supported"),
+            (b"P6\n3 2\n255" + PIXELS, "only P6 with maxval 255 is supported"),  # maxval runs on
+            (b"P6\n3 2\n255\n" + PIXELS[:-1], "PPM pixel data truncated"),
+            (b"P6\n3 2\n255", "PPM pixel data truncated"),
+        ],
+        ids=[
+            "empty", "whitespace-only", "no-maxval", "no-maxval-newline", "blank-lines",
+            "P5", "maxval-65535", "no-separator", "one-byte-short", "header-only",
+        ],
+    )
+    def test_each_fault_has_its_message(self, tmp_path, blob, message):
+        (tmp_path / "a.ppm").write_bytes(blob)
+        with pytest.raises(ValueError) as info:
+            read_ppm(tmp_path / "a.ppm")
+        assert str(info.value) == message

@@ -105,6 +105,10 @@ def cases(inputs: Path) -> list[dict]:
         found.append(_case(f"{workload} seed {seed}", case.argv, inputs=files))
 
     found.append(_case("fm-path defaults", ["fm-path"]))
+    argv = ["fm-path", "--fc=100.0", "--fm=137.3", "--i-end=1000", "--i-step=50", "--seg-dur=0.001"]
+    found.append(_case("fm-path to index 1000: rows of up to 2149 lines", argv))
+    argv = ["fm-path", "--i-start=1e-300", "--i-end=1", "--i-step=0.25", "--seg-dur=0.001"]
+    found.append(_case("fm-path from index 1e-300: a Bessel column below 2**-600", argv))
     for argv in (["--help"], *([command, "--help"] for command in EDGE_SETTINGS)):
         found.append(_case(" ".join(argv), argv))
     argv = ["fm-path", "--rate", "2147483648", "--seg-dur", "1e-9", "--i-end", "2000"]

@@ -10,11 +10,14 @@ then normalized with the identity J_0(x) + 2*sum(J_2k(x)) = 1
 recurrence is stable where the upward one is not, and its absolute error
 stays within a few units of 1e-16.
 
-The ratio 2k/x exceeds 2**1074 at the smallest subnormal argument, so
-the running values are rescaled by exact powers of two to stay near
-2**-500; each kept value carries its own binary exponent until the final
-normalization.  Many arguments share one recurrence as the columns of an
-array, each column started at its own seed order.
+The running values are rescaled by exact powers of two to 2**-500 only
+when one reaches its column's limit, as Numerical Recipes' bessj does
+near overflow; each kept value carries its own binary exponent to the
+final normalization, so when a rescale happens changes no bit.  The limit
+is 2**400 where x >= 2**-600 and the seed order is below 2**11, where a
+step grows a value by 2k/x < 2**612; elsewhere (2k/x reaches 2**1074 at
+the smallest subnormal x) it is 2**-500.  Many arguments share one
+recurrence as the columns of an array, each started at its own seed order.
 """
 
 from __future__ import annotations
@@ -66,10 +69,13 @@ def _miller_rows(x: np.ndarray, n_max: np.ndarray) -> np.ndarray:
     exponents = np.zeros((size, len(x)), dtype=np.int64)
     current, above, exponent = np.zeros(len(x)), np.zeros(len(x)), exponents[0].copy()
     safe = np.where(x == 0.0, 1.0, x)  # x = 0 columns are set at the end
+    limit = np.where((x >= 2.0**-600) & (start < 2**11), 2.0**400, _SCALE)
+    seeds = {k: np.flatnonzero(start == k) for k in set(start.tolist())}  # columns by start
     for k in range(size - 1, 0, -1):
-        current[start == k] = _SCALE  # columns whose recurrence starts here
+        if k in seeds:
+            current[seeds[k]] = _SCALE
         below = 2 * k * current / safe - above
-        big = np.abs(below) >= _SCALE
+        big = np.abs(below) >= limit
         if big.any():
             shift = (np.frexp(below)[1] - _SCALE_EXPONENT) * big
             below = np.ldexp(below, -shift)

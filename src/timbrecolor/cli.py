@@ -43,7 +43,7 @@ SWATCH_SIZE = 64
 STRIP_WIDTH = 512
 STRIP_HEIGHT = 32
 _ENVELOPE_PEAK = 1.0
-_BLOCK_INDICES = 256  # grid values per array pass of _fm_path_rows
+_BLOCK_INDICES = 256  # grid values per _fm_path_rows pass, colors per _full_span_distance tile
 
 
 @dataclass(frozen=True)
@@ -211,9 +211,10 @@ def _fm_path_rows(
         freqs, amps, orders = _sideband_rows(fc, fm, grid[k : k + _BLOCK_INDICES])
         lines, amplitudes, counts, _dc = _fold_rows(freqs, amps, 2 * orders + 1)
         xyz = _cube_rows(_xyz_rows(lines, amplitudes, counts, octave, cmf))
-        # one np.sum per row: a pairwise sum depends on the row's length
-        rows = np.split(amplitudes, np.cumsum(counts)[:-1])
-        blocks.append((xyz, _srgb_rows(xyz), orders, [np.sum(np.abs(row)) for row in rows]))
+        # one pairwise sum per row, as np.sum (not reduceat): it depends on the row's length
+        magnitudes, bounds = np.abs(amplitudes), np.cumsum(counts).tolist()
+        weights = [np.add.reduce(magnitudes[a:b]) for a, b in zip([0, *bounds], bounds)]
+        blocks.append((xyz, _srgb_rows(xyz), orders, weights))
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
@@ -235,16 +236,23 @@ def _adjacent_distances(rgb: np.ndarray) -> np.ndarray:
 def _full_span_distance(rgb: np.ndarray) -> float:
     """Largest sRGB distance between any two of the colors, exactly.
 
-    Compares distinct colors one row of integer differences at a time, so
-    memory stays linear; sqrt is monotone, so one sqrt of the largest
-    squared distance equals the largest pairwise distance.  A set finds
-    the distinct colors: np.unique(axis=0) would import numpy.ma.
+    The distinct 8-bit colors come from sorting the keys r << 16 | g << 8 | b
+    (np.unique would import numpy.ma).  The largest |a|**2 + |b|**2 - 2 a.b
+    is taken over upper-triangle tiles of at most _BLOCK_INDICES colors a
+    side, so memory stays one tile.  Every term is an integer below 2**53,
+    so float64 is exact in any summation order; sqrt is monotone, so one
+    sqrt of the largest squared distance is the largest distance.
     """
-    points = np.array(sorted(set(map(tuple, np.asarray(rgb).tolist())))).reshape(-1, 3)
-    widest = 0
-    for i in range(len(points) - 1):
-        squares = np.sum((points[i + 1 :] - points[i]) ** 2, axis=1)
-        widest = max(widest, int(squares.max()))
+    keys = np.sort(np.asarray(rgb, dtype=np.int64).reshape(-1, 3) @ [1 << 16, 1 << 8, 1])
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    points = ((keys[:, None] >> [16, 8, 0]) & 0xFF).astype(np.float64)
+    norms = np.sum(points * points, axis=1)
+    widest = 0.0
+    for i in range(0, len(points), _BLOCK_INDICES):
+        for j in range(i, len(points), _BLOCK_INDICES):
+            a, b = slice(i, i + _BLOCK_INDICES), slice(j, j + _BLOCK_INDICES)
+            squares = norms[a, None] + norms[b] - 2.0 * points[a] @ points[b].T
+            widest = max(widest, float(squares.max()))
     return math.sqrt(widest)
 
 

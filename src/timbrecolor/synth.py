@@ -94,7 +94,7 @@ def fm_sample(params: FMParams, t: float | np.ndarray) -> float | np.ndarray:
         raise ValueError("time must be nonnegative")
     fc, fm, index = params.carrier_hz, params.modulator_hz, params.modulation_index
     value = _fm_wave(times, fc, fm, index)
-    if np.isscalar(t) or getattr(t, "ndim", 0) == 0:
+    if times.ndim == 0:
         return float(value)
     return value
 

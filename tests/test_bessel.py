@@ -1,6 +1,7 @@
 """Bessel coefficient values and the sideband truncation rule."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -149,6 +150,11 @@ class TestEnergyOrder:
 # the sweep-fine grid of seed 1: 2001 indices from a sub-step offset
 SWEEP = 0.01 * np.arange(2001) + float(np.random.default_rng(1).uniform(0.0, 0.01))
 MIXED = [0.0, 5e-324, 4.3e-139, 1e-8, 11.999999, 12.0, 12.000001, 999.99, 1000.0]
+# the recurrence rescales every step below 2**-600 and only near overflow from there up;
+# at 2**-800 a limit of 2**400 would overflow
+RESCALE_SWITCH = [
+    2.0**-600, math.nextafter(2.0**-600, 0.0), 2.0**-601, 2.0**-599, 2.0**-800, 5e-324,
+]
 
 
 def bits(values) -> np.ndarray:
@@ -175,6 +181,19 @@ class TestBatchedRecurrence:
         for j, x in enumerate(MIXED):
             want = miller_row(x, int(n_max[j]))
             assert np.array_equal(bits(block[: len(want), j]), bits(want)), x
+
+    @pytest.mark.parametrize(
+        "xs", [[x] for x in RESCALE_SWITCH] + [RESCALE_SWITCH],
+        ids=["2**-600", "below 2**-600", "2**-601", "2**-599", "2**-800", "5e-324", "together"],
+    )
+    @pytest.mark.parametrize("n_max", [0, 80, 2100])  # 2100: a seed order past 2**11
+    def test_columns_on_both_sides_of_the_rescale_switch(self, xs, n_max):
+        xs = np.array(xs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow in the recurrence fails here
+            block = _miller_rows(xs, np.full(len(xs), n_max))
+        for j, x in enumerate(xs.tolist()):
+            assert np.array_equal(bits(block[:, j]), bits(miller_row(x, n_max))), x
 
     @pytest.mark.parametrize("xs", [SWEEP, np.array(MIXED)], ids=["sweep", "mixed"])
     def test_orders_equal_the_truncation_loops(self, xs):

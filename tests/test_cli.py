@@ -122,6 +122,28 @@ def unique_span(rgb):
     return math.sqrt(widest)
 
 
+class TestFullSpanTiles:
+    """The tiled span equals the reference across tile edges."""
+
+    @pytest.mark.parametrize("block", [7, cli._BLOCK_INDICES])
+    def test_off_diagonal_tiles(self, monkeypatch, block):
+        monkeypatch.setattr(cli, "_BLOCK_INDICES", block)
+        rng = np.random.default_rng(17)
+        rgb = rng.integers(0, 256, (4 * cli._BLOCK_INDICES, 3))
+        assert len({tuple(row) for row in rgb.tolist()}) > 2 * cli._BLOCK_INDICES
+        assert _full_span_distance(rgb) == unique_span(rgb)
+
+    def test_the_widest_pair_in_two_tiles(self, monkeypatch):
+        monkeypatch.setattr(cli, "_BLOCK_INDICES", 7)  # black in the first tile, white in the second
+        grays = [[v, v, v] for v in range(100, 140, 4)]
+        rgb = np.array([[255, 255, 255], *grays, [0, 0, 0], *grays])
+        assert _full_span_distance(rgb) == unique_span(rgb) == math.sqrt(3 * 255**2)
+
+    def test_one_repeated_color(self):
+        rgb = np.array([[12, 34, 56]] * (3 * cli._BLOCK_INDICES))
+        assert _full_span_distance(rgb) == unique_span(rgb) == 0.0
+
+
 class TestFullSpanWithoutUnique:
     @pytest.mark.parametrize("seed", range(6))
     def test_equals_the_unique_reference_on_sets_with_repeats(self, seed):

@@ -65,6 +65,23 @@ class TestFMSample:
         for i, ti in enumerate(t):
             assert fm_sample(params, float(ti)) == values[i]
 
+    @pytest.mark.parametrize("sequence", [list, tuple])
+    def test_a_list_or_tuple_of_times_gives_the_array_result(self, sequence):
+        params = FMParams(440.0, 880.0, 1.0)
+        times = [0.1, 0.25, 0.0, 1.5873]
+        got = fm_sample(params, sequence(times))
+        assert isinstance(got, np.ndarray)
+        assert got.tobytes() == fm_sample(params, np.array(times)).tobytes()
+
+    @pytest.mark.parametrize(
+        "t", [0.25, np.float64(0.25), np.array(0.25)], ids=["float", "float64", "0-d"]
+    )
+    def test_a_scalar_time_gives_a_python_float(self, t):
+        params = FMParams(440.0, 880.0, 1.0)
+        got = fm_sample(params, t)
+        assert type(got) is float
+        assert got == float(fm_sample(params, np.array([0.25]))[0])
+
     def test_zero_index_is_a_pure_carrier(self):
         params = FMParams(440.0, 880.0, 0.0)
         t = np.linspace(0.0, 0.01, 101)

@@ -94,6 +94,23 @@ def cases(inputs: Path) -> list[dict]:
     tone.write_bytes(workloads.encode_pcm16(0.5 * np.sin(2.0 * np.pi * 440.0 * t), 44100))
     found += [_edge_case(*case, EDGE_SETTINGS, tone) for case in EDGE_CASES]
 
+    # one tone per analysis route: (what it shows, fundamental, rate, samples, flags)
+    routes = [
+        ("the per-harmonic route", 261.63, 44100, 2 * 44100, ["--max-harmonic=16"]),
+        ("a near-commensurate window", 440.0000001, 44100, 44100, []),
+        ("an exact window that does not fold", 1375.0, 8000, 100, ["--max-harmonic=2"]),
+        ("a folded cycle with a tail", 220.0, 44100, 2 * 44100 + 333, []),
+    ]
+    for what, f0, rate, count, flags in routes:
+        wav = inputs / "routes" / f"{f0!r}-{rate}-{count}.wav"
+        wav.parent.mkdir(exist_ok=True)
+        t = np.arange(count) / rate
+        wave = 0.1 + 0.5 * np.sin(2.0 * np.pi * f0 * t + 1.0) + 0.2 * np.sin(4.0 * np.pi * f0 * t + 2.5)
+        wav.write_bytes(workloads.encode_pcm16(wave, rate))
+        argv = ["wav2color", "--in", "tone.wav", f"--fundamental={f0!r}", *flags]
+        name = f"wav2color {f0!r} Hz, {count} samples at {rate} Hz: {what}"
+        found.append(_case(name, argv, inputs={"tone.wav": str(wav)}))
+
     runs = [("sweep-fine", seed) for seed in BENCH_SEEDS]
     runs += [("analyze-long", BENCH_SEEDS[0]), ("envelope-dense", BENCH_SEEDS[0])]
     for workload, seed in runs:
@@ -109,6 +126,8 @@ def cases(inputs: Path) -> list[dict]:
     found.append(_case("fm-path to index 1000: rows of up to 2149 lines", argv))
     argv = ["fm-path", "--i-start=1e-300", "--i-end=1", "--i-step=0.25", "--seg-dur=0.001"]
     found.append(_case("fm-path from index 1e-300: a Bessel column below 2**-600", argv))
+    argv = ["fm-path", "--i-end", "2000", "--i-step", "1", "--seg-dur", "0.001"]
+    found.append(_case("fm-path to index 2000: refused before the first color row", argv))
     for argv in (["--help"], *([command, "--help"] for command in EDGE_SETTINGS)):
         found.append(_case(" ".join(argv), argv))
     argv = ["fm-path", "--rate", "2147483648", "--seg-dur", "1e-9", "--i-end", "2000"]

@@ -2,22 +2,22 @@
 
 Frequency modulation with index I spreads a carrier into sidebands whose
 amplitudes are J_n(I).  Everything downstream (spectra, colors) depends on
-these values.  One method computes them for every argument in
-[0, 1000]: Miller's downward recurrence J_{k-1} = 2k J_k / x - J_{k+1},
-run in float64 from a seed order high above both the wanted orders and x,
-then normalized with the identity J_0(x) + 2*sum(J_2k(x)) = 1
+these values.  One method computes them for every order up to 2000 and
+argument in [0, 1000]: Miller's downward recurrence J_{k-1} = 2k J_k / x -
+J_{k+1}, run in float64 from a seed order high above both the wanted orders
+and x, then normalized with the identity J_0(x) + 2*sum(J_2k(x)) = 1
 (Abramowitz & Stegun 9.12; Numerical Recipes section 6.5).  Downward, the
 recurrence is stable where the upward one is not, and its absolute error
 stays within a few units of 1e-16.
 
-The running values are rescaled by exact powers of two to 2**-500 only
-when one reaches its column's limit, as Numerical Recipes' bessj does
-near overflow; each kept value carries its own binary exponent to the
-final normalization, so when a rescale happens changes no bit.  The limit
-is 2**400 where x >= 2**-600 and the seed order is below 2**11, where a
-step grows a value by 2k/x < 2**612; elsewhere (2k/x reaches 2**1074 at
-the smallest subnormal x) it is 2**-500.  Many arguments share one
-recurrence as the columns of an array, each started at its own seed order.
+The running values are rescaled by exact powers of two to 2**-500 only when
+one reaches its column's limit, as Numerical Recipes' bessj does near
+overflow; each kept value carries its own binary exponent to the final
+normalization, so when a rescale happens changes no bit.  Seed orders stay
+below 2**12, so where x >= 2**-600 a step grows a value by 2k/x < 2**613 and
+the limit is 2**400; elsewhere (2k/x reaches 2**1074 at the smallest
+subnormal x) it is 2**-500.  Many arguments share one recurrence as the
+columns of an array, each started at its own seed order.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ def _miller_rows(x: np.ndarray, n_max: np.ndarray) -> np.ndarray:
     exponents = np.zeros((size, len(x)), dtype=np.int64)
     current, above, exponent = np.zeros(len(x)), np.zeros(len(x)), exponents[0].copy()
     safe = np.where(x == 0.0, 1.0, x)  # x = 0 columns are set at the end
-    limit = np.where((x >= 2.0**-600) & (start < 2**11), 2.0**400, _SCALE)
+    limit = np.where(x >= 2.0**-600, 2.0**400, _SCALE)
     seeds = {k: np.flatnonzero(start == k) for k in set(start.tolist())}  # columns by start
     for k in range(size - 1, 0, -1):
         if k in seeds:
@@ -95,17 +95,20 @@ def _miller_rows(x: np.ndarray, n_max: np.ndarray) -> np.ndarray:
 
 
 def bessel_j(order: int, argument: float) -> float:
-    """J_order(argument) for integer order >= 0 and 0 <= argument <= 1000.
+    """J_order(argument) for integer 0 <= order <= 2000 and 0 <= argument <= 1000.
 
-    Absolute error is far below 1e-12 over the supported range; negative
-    orders are not accepted here because callers fold them in via the
-    parity identity J_{-n}(x) = (-1)^n J_n(x).  One column of _miller_rows.
+    Absolute error is far below 1e-12 over the supported range; negative orders
+    are not accepted here because callers fold them in via the parity identity
+    J_{-n}(x) = (-1)^n J_n(x).  One column of _miller_rows.  Orders above 2000
+    are refused: J_n(x) is 0.0 in float64 for every n >= 1874 at x = 1000.
     """
     if order != int(order) or isinstance(order, float):
         raise ValueError(f"Bessel order must be an integer, got {order!r}")
     order = int(order)
     if order < 0:
         raise ValueError(f"Bessel order must be nonnegative, got {order}")
+    if order > 2000:
+        raise ValueError(f"Bessel order {order} exceeds supported maximum 2000")
     x = _validate_arguments(float(argument))
     return float(_miller_rows(x, np.array([order]))[order, 0])
 

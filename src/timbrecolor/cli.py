@@ -27,6 +27,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from .bessel import _validate_arguments
 from .color import ColorMatchingTable, OctaveMap, _cube_rows, _srgb_rows, _xyz_rows
 from .color import spectrum_to_xyz, standard_observer, xyz_to_srgb
 from .gesture import _gesture_text, _map_rows, adsr_gesture
@@ -199,8 +200,8 @@ def _fm_path_rows(
     fc: float, fm: float, grid: Sequence[float], octave: OctaveMap, cmf: ColorMatchingTable
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(xyz, rgb, orders, weights) of a sweep, one row per grid value: cube
-    XYZ as (n, 3) floats, 8-bit sRGB as (n, 3) int64, the sideband order N
-    and the sum of absolute folded amplitudes of each index.
+    XYZ as (n, 3) floats, 8-bit sRGB as (n, 3) int64, the sideband order N,
+    and the total folded |amplitude| that _xyz_rows divides each color by.
 
     Each block of _BLOCK_INDICES values takes one set of array passes, and
     each row equals the chain fm_sidebands, fold_spectrum, spectrum_to_xyz,
@@ -210,10 +211,8 @@ def _fm_path_rows(
     for k in range(0, len(grid), _BLOCK_INDICES):
         freqs, amps, orders = _sideband_rows(fc, fm, grid[k : k + _BLOCK_INDICES])
         lines, amplitudes, counts, _dc = _fold_rows(freqs, amps, 2 * orders + 1)
-        xyz = _cube_rows(_xyz_rows(lines, amplitudes, counts, octave, cmf))
-        # one pairwise sum per row, as np.sum (not reduceat): it depends on the row's length
-        magnitudes, bounds = np.abs(amplitudes), np.cumsum(counts).tolist()
-        weights = [np.add.reduce(magnitudes[a:b]) for a, b in zip([0, *bounds], bounds)]
+        raw, weights = _xyz_rows(lines, amplitudes, counts, octave, cmf)
+        xyz = _cube_rows(raw)
         blocks.append((xyz, _srgb_rows(xyz), orders, weights))
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
@@ -262,9 +261,10 @@ def _run_fm_path(s: dict[str, Any]) -> int:
     _check_size(seg * _grid_count(s["i_start"], s["i_end"], s["i_step"]))
     grid = build_index_grid(s["i_start"], s["i_end"], s["i_step"])
     octave = OctaveMap(base_hz=s["base"], flip=s["flip_orientation"])
-    # sweep and WAV rate checks run before any color row; the threads start at the first block
+    # sweep, WAV rate and Bessel checks run before any color row; the threads start at the first block
     total, blocks = _fm_path_blocks(s["fc"], s["fm"], grid, s["seg_dur"], s["rate"])
     _check_wav_rate(s["rate"])
+    _validate_arguments(grid)
     xyz, rgb, orders, weights = _fm_path_rows(s["fc"], s["fm"], grid, octave, standard_observer())
     _write_pcm16(s["out_wav"], s["rate"], total, blocks)
 

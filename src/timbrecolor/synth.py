@@ -21,20 +21,19 @@ spans exactly P periods in whole samples, harmonic n is DFT bin n*P, so
 one real FFT of one folded cycle (the window's whole-period pieces summed)
 yields every projection at once; any other window (a fundamental
 incommensurate with the rate) is projected one harmonic at a time.  The
-fold takes the samples block by block, as the WAV reader yields them, so
-the analysis of a file never holds the whole file.
+fold takes the samples block by block, as the WAV reader yields them; it
+holds one cycle, which is the whole window when the window does not fold.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bessel import DEFAULT_TAIL_TOLERANCE, energy_order
-from .spectrum import LineSpectrum, _check_voice
+from .spectrum import _TWO_PI, LineSpectrum, _check_voice
 
 __all__ = [
     "AMPLITUDE_FLOOR",
@@ -53,7 +52,6 @@ _BLOCK_SAMPLES = 2**16  # samples per block: fm-path audio, the WAV reader, the 
 _CHUNK_SAMPLES = 2**14  # per FM evaluation in fm-path's threads; 2**12 lost their gain to the GIL
 _RENDER_THREADS = 2  # they overlap inside np.sin, which releases the GIL
 _MIN_ANALYSIS_PERIODS = 10
-_TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -265,7 +263,7 @@ def analyze_harmonics(
 
     Returns a line spectrum in the form a0 + sum a_n sin(2 pi n f t + phi_n)
     with nonnegative amplitudes, phases in [0, 2*pi), and lines below the
-    amplitude floor suppressed; a0 (the window mean) lands in dc_term.
+    amplitude floor suppressed; a0 (the window's sum over its length) lands in dc_term.
 
     The window holds P whole periods.  When it spans exactly P * rate / f
     samples (equal as floats, as for 440 Hz or 220 Hz at 44.1 kHz),
@@ -274,16 +272,14 @@ def analyze_harmonics(
     bin is bin n*P/g of one real FFT of one folded cycle: the window cut
     into g pieces of L/g samples and summed (2205 samples holding 22
     periods at 440 Hz and 44.1 kHz, whatever L is).  The fold is streamed,
-    a block at a time, so its memory does not grow with L.  Otherwise
+    a block at a time, so for g > 1 its memory does not grow with L.  Otherwise
     (261.63 Hz, or 440.0000001 Hz, at 44.1 kHz) the window is projected
     onto a sampled sine and cosine per harmonic: a bin only near n*P
     would bias the phase of the top harmonics.
     """
     samples = wave.samples
     blocks = [samples[k : k + _BLOCK_SAMPLES] for k in range(0, len(samples), _BLOCK_SAMPLES)]  # views
-    spectrum = _analyze_blocks(wave.sample_rate, len(samples), blocks, fundamental_hz, max_harmonic)
-    length = _analysis_window(len(samples), float(fundamental_hz), wave.sample_rate)[0]
-    return dataclasses.replace(spectrum, dc_term=float(np.mean(samples[:length])))
+    return _analyze_blocks(wave.sample_rate, len(samples), blocks, fundamental_hz, max_harmonic)
 
 
 def _fold(blocks, length: int, cycle: int) -> np.ndarray:
@@ -312,7 +308,7 @@ def _analyze_blocks(
     rate: int, count: int, blocks, fundamental_hz: float, max_harmonic: int
 ) -> LineSpectrum:
     """analyze_harmonics on count samples given as blocks, read no further than
-    the window; dc_term is the window's sum over its length, not np.mean."""
+    the window; dc_term is the folded cycle's sum over the window's length."""
     f0 = float(fundamental_hz)
     if not (math.isfinite(f0) and f0 > 0.0):
         raise ValueError(f"fundamental must be positive, got {fundamental_hz!r}")
@@ -332,7 +328,6 @@ def _analyze_blocks(
     exact = periods * rate / f0 == length
     g = math.gcd(periods, length) if exact else 1  # the window is g pieces of cycle samples
     folded = _fold(blocks, length, length // g)  # g == 1: the window itself
-    dc = float(folded.sum() / length)
     if exact:
         turns = periods // g  # the fold's bin n*turns = the window's bin n*periods
         bins = np.fft.rfft(folded)[turns : max_harmonic * turns + 1 : turns]
@@ -355,4 +350,4 @@ def _analyze_blocks(
             phase = 0.0
         lines.append((n * f0, amplitude, phase))
     freqs, amplitudes, phases = np.array(lines, dtype=np.float64).reshape(-1, 3).T
-    return LineSpectrum(freqs, amplitudes, phases, dc_term=dc)
+    return LineSpectrum(freqs, amplitudes, phases, dc_term=float(folded.sum() / length))

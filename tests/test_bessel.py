@@ -54,6 +54,17 @@ class TestBesselJ:
         with pytest.raises(ValueError):
             bessel_j(1.5, 1.0)
 
+    @pytest.mark.parametrize("order", [2001, 10**6])  # 10**6 took two minutes before the bound
+    def test_rejects_orders_past_2000(self, order):
+        with pytest.raises(ValueError) as info:
+            bessel_j(order, 1.0)
+        assert str(info.value) == f"Bessel order {order} exceeds supported maximum 2000"
+
+    def test_order_2000_is_past_underflow_at_the_largest_argument(self):
+        assert bessel_j(1873, 1000.0) > 0.0
+        assert bessel_j(1874, 1000.0) == 0.0
+        assert bessel_j(2000, 1000.0) == 0.0
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             bessel_j(0, -0.5)

@@ -324,6 +324,24 @@ class TestFMPathCommand:
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_index_past_1000_fails_before_any_color_row(self, tmp_path, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("color rows built for a sweep past the Bessel domain")
+
+        monkeypatch.setattr(cli, "_fm_path_rows", never)
+        args = [
+            "fm-path",
+            "--i-end", "2000",
+            "--i-step", "1",
+            "--seg-dur", "0.001",
+            "--out-wav", str(tmp_path / "p.wav"),
+            "--out-img", str(tmp_path / "p.ppm"),
+            "--out-csv", str(tmp_path / "p.csv"),
+        ]
+        assert main(args) == 2
+        assert capsys.readouterr().err == "error: Bessel argument 1001.0 exceeds supported maximum 1000.0\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestStreamedWav:
     @pytest.mark.parametrize(
@@ -454,7 +472,10 @@ def chain_rows(fc, fm, grid, octave, cmf):
         xyz.append([color.x, color.y, color.z])
         rgb.append([srgb.r, srgb.g, srgb.b])
         orders.append((len(raw) - 1) // 2)
-        weights.append(np.sum(np.abs(folded.amplitudes)))
+        weight = 0.0  # in line order, as the color's normalizer adds it
+        for amplitude in folded.amplitudes.tolist():
+            weight += abs(amplitude)
+        weights.append(weight)
     return np.array(xyz), np.array(rgb), np.array(orders), np.array(weights)
 
 

@@ -510,9 +510,16 @@ class TestRowForms:
         freqs = np.concatenate([sp.frequencies for sp in spectra])
         amps = np.concatenate([sp.amplitudes for sp in spectra])
         counts = np.array([len(sp.amplitudes) for sp in spectra])
-        got = _xyz_rows(freqs, amps, counts, octave, cmf)
+        got, totals = _xyz_rows(freqs, amps, counts, octave, cmf)
         want = [spectrum_xyz_raw(sp, octave, cmf).as_array() for sp in spectra]
         assert np.array_equal(got, want)
+        sums = []  # each row's |amplitude| added in line order
+        for sp in spectra:
+            total = 0.0
+            for amplitude in sp.amplitudes.tolist():
+                total += abs(amplitude)
+            sums.append(total)
+        assert totals.tolist() == sums
 
     def test_xyz_rows_reject_any_degenerate_row(self):
         with pytest.raises(DegenerateSpectrumError):

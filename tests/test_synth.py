@@ -39,6 +39,15 @@ def count_rfft_calls(monkeypatch) -> list:
     return calls
 
 
+def window_dc(samples, f0, rate):
+    """dc_term's one definition: the window's g whole-period pieces summed into
+    one cycle, as in _analyze_blocks (g = 1 when the window does not fold), and
+    that cycle's sum over the window's length."""
+    length, periods = synth._analysis_window(len(samples), f0, rate)
+    g = math.gcd(periods, length) if periods * rate / f0 == length else 1
+    return samples[:length].reshape(-1, length // g).sum(axis=0).sum() / length
+
+
 def fm_formula(fc, fm, index, t):
     """The FM formula as one numpy expression: the reference for the in-place kernel."""
     return np.sin(TWO_PI * fc * t + index * np.sin(TWO_PI * fm * t))
@@ -447,7 +456,8 @@ class TestAnalyzeHarmonics:
         calls = count_rfft_calls(monkeypatch)
         spec = analyze_harmonics(SampledWave(sample_rate=RATE, samples=samples), 440.0, 32)
         assert len(calls) == 1
-        assert spec.dc_term == np.mean(samples)
+        assert spec.dc_term == window_dc(samples, 440.0, RATE)
+        assert abs(spec.dc_term - np.mean(samples)) <= 1e-15
         assert [line.frequency for line in spec.lines] == freqs
         want = harmonic_coefficients(samples, RATE, freqs)
         for line, z in zip(spec.lines, want):
@@ -479,7 +489,8 @@ class TestAnalyzeHarmonics:
         kept = np.abs(want) >= AMPLITUDE_FLOOR
         assert list(spec.frequencies) == [440.0 * n for n in np.flatnonzero(kept) + 1]
         assert np.max(np.abs(got[kept] - want[kept])) <= 1e-12 * np.max(np.abs(want))
-        assert spec.dc_term == np.mean(samples)
+        assert spec.dc_term == window_dc(samples, 440.0, RATE)
+        assert abs(spec.dc_term - np.mean(samples)) <= 1e-15
 
     def test_an_unfoldable_window_matches_the_oracle(self, monkeypatch):
         # 64 samples at 8 kHz hold 11 periods of 1375 Hz and gcd(11, 64) = 1: no fold
@@ -490,11 +501,20 @@ class TestAnalyzeHarmonics:
         calls = count_rfft_calls(monkeypatch)
         spec = analyze_harmonics(SampledWave(sample_rate=8000, samples=samples), 1375.0, 2)
         assert [len(args[0]) for args in calls] == [64]
-        assert spec.dc_term == np.mean(samples[:64])
+        assert spec.dc_term == window_dc(samples, 1375.0, 8000)
+        assert abs(spec.dc_term - np.mean(samples[:64])) <= 1e-15
         want = harmonic_coefficients(samples[:64], 8000, [1375.0, 2750.0])
         assert list(spec.frequencies) == [1375.0, 2750.0]
         for line, z in zip(spec.lines, want):
             assert abs(cmath.rect(line.amplitude, line.phase) - z) <= 1e-11
+
+    def test_the_window_is_chosen_once(self, monkeypatch):
+        calls = []
+        choose = synth._analysis_window
+        monkeypatch.setattr(synth, "_analysis_window", lambda *args: calls.append(args) or choose(*args))
+        samples = np.sin(TWO_PI * 440.0 * np.arange(RATE, dtype=np.float64) / RATE)
+        analyze_harmonics(SampledWave(sample_rate=RATE, samples=samples), 440.0, 4)
+        assert calls == [(RATE, 440.0, RATE)]
 
     def test_peak_memory_per_sample_on_60_s(self):
         t = np.arange(60 * RATE, dtype=np.float64) / RATE
@@ -629,8 +649,9 @@ class TestStreamedFold:
         for name in ("frequencies", "amplitudes", "phases"):
             assert getattr(streamed, name).tobytes() == getattr(whole, name).tobytes()
         assert len(whole.frequencies) >= 2  # the two tones, and noise lines above the floor
-        assert whole.dc_term == np.mean(samples[:length])
-        assert streamed.dc_term == pytest.approx(whole.dc_term, abs=1e-15)
+        assert whole.dc_term == window_dc(samples, f0, rate)
+        assert abs(whole.dc_term - np.mean(samples[:length])) <= 1e-15
+        assert streamed.dc_term == whole.dc_term
 
     @pytest.mark.parametrize(
         "f0, max_harmonic, message",

@@ -8,7 +8,9 @@ REV (a commit, branch or tag) is exported with `git archive` into a
 temporary directory; the other side is this working tree, uncommitted
 changes included.  In each tree one worker process runs every case of
 `cases()` through `timbrecolor.cli.main` (the sweep script through its own
-`main`), each case in a fresh directory.  The cases are compared by the
+`main`), each case in a fresh directory.  One more case prints the sha256 of
+the arrays `cli._fm_path_rows` returns on the `sweep-fine` grid, whose last
+bits no output file shows.  The cases are compared by the
 sha256 of every file they leave, by stdout and stderr, and by exit code.
 Each case that differs is printed, with the first differing line of a text
 file.  Exit status: 0 when no case differs, 1 otherwise.
@@ -49,10 +51,11 @@ def _inside(directory: Path):
         os.chdir(before)
 
 
-def _case(name: str, argv: list[str], files=None, inputs=None, script: bool = False) -> dict:
-    """One run: argv for cli.main (or for the sweep script), the text files to
-    write into its directory first, and the input files to copy there."""
-    return {"name": name, "argv": argv, "files": files or {}, "inputs": inputs or {}, "script": script}
+def _case(name: str, argv: list[str], files=None, inputs=None, kind: str = "cli") -> dict:
+    """One run: argv for cli.main (kind "cli"), for the sweep script ("script") or
+    for _row_digests ("rows"), the text files to write into its directory first,
+    and the input files to copy there."""
+    return {"name": name, "argv": argv, "files": files or {}, "inputs": inputs or {}, "kind": kind}
 
 
 def _edge_case(command: str, flag: str, value: str, via: str, settings: dict, tone: Path) -> dict:
@@ -120,6 +123,8 @@ def cases(inputs: Path) -> list[dict]:
             case = workloads.WORKLOADS[workload](Path("."), seed)
         files = {path.name: str(path) for path in work.iterdir()}
         found.append(_case(f"{workload} seed {seed}", case.argv, inputs=files))
+        if workload == "sweep-fine" and seed == BENCH_SEEDS[0]:
+            found.append(_case(f"fm-path row arrays of {workload} seed {seed}", case.argv, kind="rows"))
 
     found.append(_case("fm-path defaults", ["fm-path"]))
     argv = ["fm-path", "--fc=100.0", "--fm=137.3", "--i-end=1000", "--i-step=50", "--seg-dur=0.001"]
@@ -136,8 +141,23 @@ def cases(inputs: Path) -> list[dict]:
     for value in ("false", "true", "maybe"):
         config = {"run.cfg": f"flip-orientation={value}\n"}
         found.append(_case(f"config flip-orientation={value}", argv, config))
-    found.append(_case(str(SWEEP_SCRIPT), [], script=True))
+    found.append(_case(str(SWEEP_SCRIPT), [], kind="script"))
     return found
+
+
+def _row_digests(argv: list[str]) -> int:
+    """Print the dtype, shape and sha256 of each array cli._fm_path_rows returns
+    on an fm-path argv's sweep.  The CSV prints XYZ to 6 decimals and the log
+    prints weight_sum to 9, so a change in their last bits shows only here."""
+    from timbrecolor import cli
+    from timbrecolor.color import OctaveMap, standard_observer
+
+    flags = dict(zip(argv[1::2], argv[2::2]))
+    fc, fm, start, end, step = (float(flags[f"--{key}"]) for key in ("fc", "fm", "i-start", "i-end", "i-step"))
+    rows = cli._fm_path_rows(fc, fm, cli.build_index_grid(start, end, step), OctaveMap(), standard_observer())
+    for name, array in zip(("xyz", "rgb", "orders", "weights"), rows):
+        print(f"{name} {array.dtype} {array.shape} sha256 {hashlib.sha256(array.tobytes()).hexdigest()}")
+    return 0
 
 
 def _run_case(case: dict, tree: Path) -> dict:
@@ -151,10 +171,12 @@ def _run_case(case: dict, tree: Path) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            if case["script"]:
+            if case["kind"] == "script":
                 sys.argv = [str(tree / SWEEP_SCRIPT), *case["argv"]]
                 runpy.run_path(sys.argv[0], run_name="__main__")
                 code = 0
+            elif case["kind"] == "rows":
+                code = _row_digests(case["argv"])
             else:
                 code = main(case["argv"])
         except SystemExit as exc:  # argparse, --help, and the script's exit

@@ -16,8 +16,7 @@ overflow; each kept value carries its own binary exponent to the final
 normalization, so when a rescale happens changes no bit.  Seed orders stay
 below 2**12, so where x >= 2**-600 a step grows a value by 2k/x < 2**613 and
 the limit is 2**400; elsewhere (2k/x reaches 2**1074 at the smallest
-subnormal x) it is 2**-500.  Many arguments share one recurrence as the
-columns of an array, each started at its own seed order.
+subnormal x) it is 2**-500.
 """
 
 from __future__ import annotations
@@ -117,11 +116,11 @@ def bessel_j(order: int, argument: float) -> float:
 class BesselCoefficients:
     """One row of sideband amplitudes J_0..J_N at a fixed modulation index.
 
-    max_order is chosen so that the two-sided energy left out of
-    {-N..N} stays below the requested tail tolerance, and so that every
-    omitted coefficient is individually below that tolerance in magnitude.
-    The second condition keeps truncated resynthesis pointwise-close to
-    the exact waveform, which the energy bound alone does not guarantee.
+    max_order N is the smallest with both the two-sided energy left out of
+    {-N..N}, 1 - sum_{|n|<=N} J_n(I)^2, and |J_{N+1}(I)| below the tail
+    tolerance.  The second condition keeps truncated resynthesis pointwise
+    close to the exact waveform, which the energy bound alone does not
+    guarantee.
     """
 
     modulation_index: float
@@ -172,13 +171,8 @@ def _bessel_rows(x: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.
 def bessel_row(
     modulation_index: float, tail_tolerance: float = DEFAULT_TAIL_TOLERANCE
 ) -> BesselCoefficients:
-    """Sideband amplitude row for one modulation index (one column of _bessel_rows).
-
-    Returns J_0..J_N where N satisfies the two-sided energy bound
-    1 - sum_{|n|<=N} J_n(I)^2 < tail_tolerance and additionally
-    |J_{N+1}(I)| < tail_tolerance, so both the energy and the amplitude
-    of everything dropped are negligible at the requested scale.
-    """
+    """Sideband amplitudes J_0..J_N for one modulation index, N as BesselCoefficients
+    states (one column of _bessel_rows)."""
     x = _validate_arguments(float(modulation_index))
     block, _energy, orders = _bessel_rows(x, _validate_tolerance(tail_tolerance))
     n = int(orders[0])

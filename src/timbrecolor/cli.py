@@ -20,7 +20,10 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
@@ -341,6 +344,33 @@ def _parse_hex_color(text: str) -> tuple[int, int, int]:
     return int(raw[0:2], 16), int(raw[2:4], 16), int(raw[4:6], 16)
 
 
+def _write_pieces(path: str, pieces: list) -> None:
+    """Write the (weight, text) pieces' texts to path in two processes, as repr holds
+    the GIL: a forked child formats the pieces past half the total weight into an
+    unlinked temporary file and leaves by os._exit, flushing no inherited buffer and
+    running none of the caller's teardown.  This process formats the rest into path,
+    always reaps the child, then appends its bytes in chunks.  Without os.fork, serially."""
+    ends = np.cumsum([weight for weight, _text in pieces])
+    half = int(np.searchsorted(ends, ends[-1] / 2)) + 1 if hasattr(os, "fork") else len(pieces)
+    with open(path, "wb") as out, tempfile.TemporaryFile() as rest:
+        pid = os.fork() if half < len(pieces) else -1
+        if pid == 0:
+            try:
+                rest.writelines(text().encode("ascii") for _weight, text in pieces[half:])
+                rest.flush()
+                os._exit(0)
+            finally:  # reached on an error only
+                os._exit(1)
+        try:
+            out.writelines(text().encode("ascii") for _weight, text in pieces[:half])
+        finally:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) if pid > 0 else 0
+        if code:
+            raise OSError(f"{path}: the process formatting its second half exited with {code}")
+        rest.seek(0)
+        shutil.copyfileobj(rest, out)
+
+
 def _run_envelope_transfer(s: dict[str, Any]) -> int:
     base_rgb = _parse_hex_color(s["color"])
     envelope = adsr_gesture(
@@ -358,8 +388,7 @@ def _run_envelope_transfer(s: dict[str, Any]) -> int:
     scale = np.array(base_rgb, dtype=np.float64)
     # (time, amplitude) rows -> amplitude-scaled base color, black at zero
     colorized = _map_rows(lambda pts, _label: pts[:, 1:2] * scale, envelope)
-    with _csv_open(s["out_gesture"]) as fh:
-        fh.writelines(_gesture_text(colorized))
+    _write_pieces(s["out_gesture"], list(_gesture_text(colorized)))
 
     amps = np.interp(total * (np.arange(STRIP_WIDTH) + 0.5) / STRIP_WIDTH, times, levels)
     row = np.floor(amps[:, None] * scale + 0.5).astype(np.uint8)

@@ -267,12 +267,10 @@ def spectrum_xyz_raw(
     """Amplitude-weighted average of line colors, before cube projection.
 
     Weights are absolute amplitudes: a line's sign is a phase flip and
-    phase carries no color.  The DC term is excluded; it is silent.  As
-    one row of _xyz_rows, all lines are reduced, mapped and interpolated
-    in one array pass and the weights and weighted rows are summed in
-    line order, exactly as a loop over the lines would add them.
-    Raises DegenerateSpectrumError when the total weight is zero, which
-    covers empty spectra, all-zero amplitudes, and pure-DC content.
+    phase carries no color.  The DC term is excluded; it is silent.  One
+    row of _xyz_rows.  Raises DegenerateSpectrumError when the total weight
+    is zero, which covers empty spectra, all-zero amplitudes, and pure-DC
+    content.
     """
     f, a = spectrum.frequencies, spectrum.amplitudes
     return XYZColor(*_xyz_rows(f, a, np.array([len(a)]), octave, cmf)[0][0].tolist())

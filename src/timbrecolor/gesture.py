@@ -6,8 +6,7 @@ at its target's.  Mapping every point through a function f yields
 another gesture on the same digraph, and this mapping respects identity
 and composition at the sample level, so gesture-valued constructions
 can be pushed between spaces (for example, amplitude-time envelopes
-into color space) without re-deriving the combinatorics.  The functor
-is applied to whole arrays of rows; map_gesture's point form is one caller.
+into color space) without re-deriving the combinatorics.
 
 Bands are sampled fixed-endpoint homotopies between two paths: a stack
 of rows interpolating from one boundary path to the other while pinning
@@ -253,16 +252,9 @@ def linear_band(from_path: SampledPath, to_path: SampledPath, row_count: int) ->
     ):
         raise EndpointError("linear band requires paths sharing both endpoints")
     k = row_count - 1
-    rows = []
-    for j in range(row_count):
-        if j == 0:
-            rows.append(from_path)
-        elif j == k:
-            rows.append(to_path)
-        else:
-            mixed = ((k - j) * from_path.points + j * to_path.points) / k
-            rows.append(SampledPath(points=mixed))
-    return Band(rows=tuple(rows))
+    inner = [SampledPath(points=((k - j) * from_path.points + j * to_path.points) / k)
+             for j in range(1, k)]
+    return Band(rows=(from_path, *inner, to_path))
 
 
 PointMap = Callable[[np.ndarray], np.ndarray]
@@ -309,10 +301,9 @@ def _map_rows(f_rows: Callable[[np.ndarray, str], np.ndarray], gesture: Gesture)
 def map_gesture(f: PointMap, gesture: Gesture) -> Gesture:
     """Apply f to all vertex points and path samples; same digraph.
 
-    The point form of the functor on whole arrays: f is called once per
-    row, vertices first, then each arrow's samples (errors prefixed
-    'arrow {idx}: ').  Endpoints survive: a path endpoint and its vertex
-    point are the same input to the same deterministic f.
+    The point form of the functor on whole arrays, _map_rows: f is called
+    once per row.  Endpoints survive: a path endpoint and its vertex point
+    are the same input to the same deterministic f.
     """
     return _map_rows(lambda points, label: _map_points(f, points, label), gesture)
 
@@ -359,21 +350,26 @@ def adsr_gesture(
     return make_gesture(digraph, vertices, paths)
 
 
-def _gesture_text(gesture: Gesture) -> Iterator[str]:
-    """serialize_gesture in pieces, each path in blocks of _TEXT_ROWS lines
-    written by one %-format (%r of a Python float is its repr)."""
+def _gesture_text(gesture: Gesture) -> Iterator[tuple[int, Callable[[], str]]]:
+    """serialize_gesture's pieces in order, as (weight, text): text() formats the
+    piece, one %-format per block of up to _TEXT_ROWS lines (%r of a Python float
+    is its repr), and weight is the rows it formats, 1 for a constant run."""
     digraph, line = gesture.digraph, " ".join(["%r"] * gesture.dimension) + "\n"
-    yield f"digraph {digraph.vertex_count} {len(digraph.arrows)}\n"
-    yield "".join(f"a {src} {dst}\n" for src, dst in digraph.arrows)
-    yield ("v " + line) * digraph.vertex_count % tuple(gesture.vertex_points.ravel().tolist())
+
+    def rows(head: str, form: str, block: np.ndarray) -> tuple[int, Callable[[], str]]:
+        bits = block.view(np.int64)  # bitwise: 0.0 == -0.0, but their reprs differ
+        if (bits == bits[0]).all():  # a constant run, such as a sustain
+            return 1, lambda: head + form % tuple(block[0].tolist()) * len(block)
+        return len(block), lambda: (head + form * len(block)) % tuple(block.ravel().tolist())
+
+    arrows = "".join(f"a {src} {dst}\n" for src, dst in digraph.arrows)
+    head = f"digraph {digraph.vertex_count} {len(digraph.arrows)}\n{arrows}"
+    yield rows(head, "v " + line, gesture.vertex_points)
     for idx, path in enumerate(gesture.arrow_paths):
-        yield f"p {idx} {path.sample_count}\n"
+        head = f"p {idx} {path.sample_count}\n"
         for block in np.split(path.points, range(_TEXT_ROWS, path.sample_count, _TEXT_ROWS)):
-            bits = block.view(np.int64)  # bitwise: 0.0 == -0.0, but their reprs differ
-            if (bits == bits[0]).all():  # a constant run, such as a sustain
-                yield line % tuple(block[0].tolist()) * len(block)
-            else:
-                yield line * len(block) % tuple(block.ravel().tolist())
+            yield rows(head, line, block)
+            head = ""
 
 
 def serialize_gesture(gesture: Gesture) -> str:
@@ -381,7 +377,7 @@ def serialize_gesture(gesture: Gesture) -> str:
 
     Coordinates are written as repr(float), so parsing is exact.
     """
-    return "".join(_gesture_text(gesture))
+    return "".join(text() for _weight, text in _gesture_text(gesture))
 
 
 def parse_gesture(text: str) -> Gesture:

@@ -177,14 +177,13 @@ def _fold_rows(freqs: np.ndarray, amps: np.ndarray, counts: np.ndarray) -> tuple
 def fold_spectrum(raw: Iterable[tuple[float, float]]) -> LineSpectrum:
     """Fold a raw two-sided line list onto nonnegative frequencies.
 
-    A line at negative frequency -g with amplitude a becomes (g, -a).
-    The flipped lines are stably sorted by frequency, so equal
-    frequencies keep their input order and amplitudes add in that order.
-    Anything within MERGE_TOLERANCE_HZ of zero (-0.0 included)
-    accumulates into dc_term.  A line joins the open group when it lies
-    within MERGE_TOLERANCE_HZ of the group's first frequency; the group
-    keeps that frequency and the sum of its amplitudes.  The waveform is
-    unchanged: this is an identity on the signal.  One row of _fold_rows.
+    A line at -g with amplitude a becomes (g, -a), the same signal.  The
+    flipped lines are stably sorted by frequency, so equal frequencies keep
+    their input order and amplitudes add in that order.  Anything within
+    MERGE_TOLERANCE_HZ of zero (-0.0 included) accumulates into dc_term.  A
+    line joins the open group when it lies within MERGE_TOLERANCE_HZ of the
+    group's first frequency; the group keeps that frequency and the sum of
+    its amplitudes.  One row of _fold_rows.
     """
     pairs = np.array(list(raw), dtype=np.float64)
     if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):

@@ -1,28 +1,13 @@
 """FM synthesis in the time domain, plus harmonic analysis of samples.
 
-The voice is sin(2*pi*fc*t + I*sin(2*pi*fm*t)).  Rendering a sweep of
-modulation indices keeps carrier and modulator phase continuous across
-segment boundaries by evaluating every segment on the shared global
-time axis; with fixed fc and fm that is exactly the accumulated phase,
-so the only discontinuity a boundary can introduce is the index step
-itself, and that stays inaudible for small steps.  A sweep comes out in
-fixed-size blocks, one ahead of the consumer: sample k plays grid[k // seg]
-at time k / rate, one chunk per task on two threads, in place and with the
-float operations of one thread.  At most three blocks and two chunk buffers
-per thread are alive, so the render's memory does not grow with the sweep.
-
-Analysis inverts synthesis for periodic signals: project onto sine and
-cosine at integer multiples of a known fundamental over a window holding
-a whole number of periods.  The window length is chosen so the sampled
-sinusoids are as close to discretely orthogonal as the rate allows,
-which keeps leakage between harmonics near float precision whenever
-rate/fundamental is rational with a modest denominator.  When the window
-spans exactly P periods in whole samples, harmonic n is DFT bin n*P, so
-one real FFT of one folded cycle (the window's whole-period pieces summed)
-yields every projection at once; any other window (a fundamental
-incommensurate with the rate) is projected one harmonic at a time.  The
-fold takes the samples block by block, as the WAV reader yields them; it
-holds one cycle, which is the whole window when the window does not fold.
+The voice is sin(2*pi*fc*t + I*sin(2*pi*fm*t)).  A sweep of modulation
+indices (render_fm_path) comes out in fixed-size blocks, one ahead of the
+consumer: sample k plays grid[k // seg] at time k / rate, one chunk per task
+on two threads, in place and with the float operations of one thread.  At
+most three blocks and two chunk buffers per thread are alive, so the render's
+memory does not grow with the sweep.  Analysis (analyze_harmonics) inverts
+synthesis for periodic signals: it projects a window of whole periods onto
+the harmonics of a known fundamental.
 """
 
 from __future__ import annotations
@@ -137,15 +122,14 @@ def _segment_samples(segment_duration_sec: float, sample_rate: int) -> int:
 
 def _fm_path_blocks(carrier_hz, modulator_hz, index_grid, segment_duration_sec, sample_rate) -> tuple:
     """Check a sweep as render_fm_path does, then return its sample count and its
-    samples as float64 blocks of _BLOCK_SAMPLES (the last may be shorter),
-    computed by _RENDER_THREADS threads a block ahead of the consumer."""
+    samples as float64 blocks of _BLOCK_SAMPLES (the last may be shorter)."""
     rate = _validate_rate(sample_rate)
     fc, fm, grid = _check_voice(carrier_hz, modulator_hz, index_grid, rate)
     if not len(grid):
         raise ValueError("index grid must be nonempty")
-    for a, b in zip(grid.tolist(), grid[1:].tolist()):
-        if not b > a:
-            raise ValueError(f"index grid must ascend, got {a} then {b}")
+    if not (ascends := grid[1:] > grid[:-1]).all():
+        a, b = grid[np.argmin(ascends) :][:2].tolist()  # the first pair that does not
+        raise ValueError(f"index grid must ascend, got {a} then {b}")
     seg = _segment_samples(segment_duration_sec, rate)
     total = seg * len(grid)
     _check_size(total)
@@ -187,7 +171,8 @@ def render_fm_path(
     """Render one segment per modulation index, phase continuous throughout.
 
     Each segment covers its half-open time slice on the global clock, so
-    carrier and modulator phases accumulate exactly across boundaries.
+    carrier and modulator phases accumulate exactly across boundaries and a
+    boundary adds only the index step, inaudible for small steps.
     High indices are rendered as given even when their faintest sidebands
     pass Nyquist; the energy-significant content of the sweep range stays
     in band at ordinary rates and the sweep is the product being studied.

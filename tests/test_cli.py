@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 import warnings
@@ -1006,6 +1007,97 @@ class TestEnvelopeTransferCommand:
         assert main(args) == 2
         assert "size guard: 40000000 path points exceeds cap 1000000" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestGestureWriter:
+    """envelope-transfer writes its gesture text in two processes: a forked child
+    formats the pieces past half the total weight, this process the rest."""
+
+    @staticmethod
+    def run(tmp_path, samples, sustain_level="0.37", color="3b7fc2"):
+        out = tmp_path / "g.txt"
+        argv = [
+            "envelope-transfer", "--color", color, "--sustain-level", sustain_level,
+            "--samples-per-segment", str(samples),
+            "--out-gesture", str(out), "--out-img", str(tmp_path / "s.ppm"),
+        ]
+        return main(argv), out
+
+    @staticmethod
+    def expected(samples, sustain_level="0.37", color="3b7fc2"):
+        scale = np.array([int(color[i : i + 2], 16) for i in (0, 2, 4)], dtype=np.float64)
+        envelope = gesture.adsr_gesture(1.0, float(sustain_level), [0.05, 0.15, 0.4, 0.3], samples)
+        colorized = gesture._map_rows(lambda pts, _label: pts[:, 1:2] * scale, envelope)
+        return gesture.serialize_gesture(colorized).encode("ascii")
+
+    @pytest.fixture
+    def forks(self, monkeypatch, tmp_path):
+        """The os.fork calls, made with the temporary directory in tmp_path/tmp."""
+        calls, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+        (tmp_path / "tmp").mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+        return calls
+
+    @staticmethod
+    def assert_no_child_and_no_temporary_file(tmp_path):
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert list((tmp_path / "tmp").iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "samples, sustain_level, color",
+        [
+            (16, "0.37", "3b7fc2"),  # the default size
+            (4096, "0.37", "3b7fc2"),  # one whole block per path
+            (4097, "0.37", "3b7fc2"),  # a one-line block after each whole one
+            (100_000, "0.37", "3b7fc2"),  # the cut inside the decay, 25 blocks a path
+            (3 * 4096 + 1, "1.0", "3b7fc2"),  # the cut inside the constant decay
+            (5000, "0.37", "000000"),  # every piece a constant run of weight 1
+        ],
+    )
+    def test_file_equals_serialize_gesture_at_the_split_edges(
+        self, tmp_path, forks, samples, sustain_level, color
+    ):
+        code, out = self.run(tmp_path, samples, sustain_level, color)
+        assert code == 0
+        assert forks == [1]
+        assert out.read_bytes() == self.expected(samples, sustain_level, color)
+        self.assert_no_child_and_no_temporary_file(tmp_path)
+
+    @pytest.mark.parametrize("samples", [16, 4097])
+    def test_without_fork_one_process_writes_the_same_bytes(self, tmp_path, monkeypatch, samples):
+        monkeypatch.delattr(os, "fork")
+        code, out = self.run(tmp_path, samples)
+        assert code == 0
+        assert out.read_bytes() == self.expected(samples)
+
+    def test_a_failing_child_is_one_error_line(self, tmp_path, forks, monkeypatch, capsys):
+        def with_a_failing_last_piece(g):
+            yield from gesture._gesture_text(g)
+            yield 1, lambda: "%r" % (1 / 0,)
+
+        monkeypatch.setattr(cli, "_gesture_text", with_a_failing_last_piece)
+        code, out = self.run(tmp_path, 16)
+        assert (code, forks) == (2, [1])
+        assert capsys.readouterr().err == (
+            f"error: {out}: the process formatting its second half exited with 1\n"
+        )
+        self.assert_no_child_and_no_temporary_file(tmp_path)
+
+    def test_a_failing_parent_still_reaps_the_child(self, tmp_path, forks, monkeypatch, capsys):
+        def with_a_failing_first_piece(g):
+            def fail():
+                raise ValueError("boom")
+
+            yield 1, fail
+            yield from gesture._gesture_text(g)
+
+        monkeypatch.setattr(cli, "_gesture_text", with_a_failing_first_piece)
+        assert self.run(tmp_path, 16)[0] == 2
+        assert forks == [1]
+        assert capsys.readouterr().err == "error: boom\n"
+        self.assert_no_child_and_no_temporary_file(tmp_path)
 
 
 class TestParserBehavior:

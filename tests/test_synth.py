@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -289,6 +290,33 @@ class TestFMPathBlocks:
     def test_checks_run_before_the_iterator_is_returned(self, args, message):
         with pytest.raises(ValueError, match=message):
             synth._fm_path_blocks(*args)
+
+    @pytest.mark.parametrize(
+        "grid, a, b",
+        [
+            ([1.0, 0.5], "1.0", "0.5"),
+            ([0.0, 0.5, 0.5, 2.0], "0.5", "0.5"),  # equal neighbours do not ascend
+            ([0.0, 3.0, 1.0, 0.5], "3.0", "1.0"),  # the first pair that fails is named
+            ([0.0, 1e-300, 0.1, 0.30000000000000004, 0.3], "0.30000000000000004", "0.3"),
+            ([-0.0, 0.0], "-0.0", "0.0"),
+        ],
+    )
+    def test_a_grid_that_does_not_ascend_names_its_first_pair(self, grid, a, b):
+        with pytest.raises(ValueError, match=f"^index grid must ascend, got {re.escape(a)} then {re.escape(b)}$"):
+            synth._fm_path_blocks(440.0, 880.0, grid, 0.01, RATE)
+
+    def test_the_ascent_check_names_the_pair_a_loop_finds(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            grid = np.cumsum(rng.choice([-0.5, 0.0, 0.25, 0.5], size=rng.integers(2, 40), p=[0.02, 0.02, 0.48, 0.48]))
+            grid = (grid - grid.min()).tolist()
+            bad = [(a, b) for a, b in zip(grid, grid[1:]) if not b > a]
+            if not bad:
+                synth._fm_path_blocks(440.0, 880.0, grid, 0.001, RATE)
+                continue
+            with pytest.raises(ValueError) as raised:
+                synth._fm_path_blocks(440.0, 880.0, grid, 0.001, RATE)
+            assert str(raised.value) == f"index grid must ascend, got {bad[0][0]} then {bad[0][1]}"
 
     def test_the_render_cap_is_unchanged(self):
         assert synth.MAX_RENDER_SAMPLES == 100_000_000

@@ -21,23 +21,22 @@ from __future__ import annotations
 import argparse
 import math
 import os
-import shutil
 import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
 from .bessel import _validate_arguments
 from .color import ColorMatchingTable, OctaveMap, _cube_rows, _srgb_rows, _xyz_rows
 from .color import spectrum_to_xyz, standard_observer, xyz_to_srgb
-from .gesture import _gesture_text, _map_rows, adsr_gesture
-from .ppm import write_ppm
-from .spectrum import LineSpectrum, _fold_rows, _sideband_rows
+from .gesture import _TEXT_ROWS, _gesture_text, _map_rows, adsr_gesture
+from .ppm import _ppm_pieces, _write
+from .spectrum import _fold_rows, _sideband_rows
 from .synth import _analyze_blocks, _check_size, _fm_path_blocks, _segment_samples
-from .wavefile import _check_wav_rate, _read_pcm16, _write_pcm16
+from .wavefile import _check_wav_rate, _read_pcm16, _wav_pieces
 
 __all__ = ["main"]
 
@@ -48,6 +47,7 @@ STRIP_WIDTH = 512
 STRIP_HEIGHT = 32
 _ENVELOPE_PEAK = 1.0
 _BLOCK_INDICES = 256  # grid values per _fm_path_rows pass, colors per _full_span_distance tile
+_FORK_WEIGHT = 3 * _TEXT_ROWS  # gesture text weight past which a second process pays
 
 
 @dataclass(frozen=True)
@@ -195,8 +195,9 @@ def build_index_grid(start: float, end: float, step: float) -> list[float]:
     return [start + k * step for k in range(_grid_count(start, end, step))]
 
 
-def _csv_open(path: str):
-    return open(path, "w", encoding="ascii", newline="\n")
+def _ascii(*texts) -> Iterator[bytes]:
+    """The strings of each iterable of texts in turn, as ASCII bytes."""
+    return (text.encode("ascii") for strings in texts for text in strings)
 
 
 def _fm_path_rows(
@@ -269,46 +270,25 @@ def _run_fm_path(s: dict[str, Any]) -> int:
     _check_wav_rate(s["rate"])
     _validate_arguments(grid)
     xyz, rgb, orders, weights = _fm_path_rows(s["fc"], s["fm"], grid, octave, standard_observer())
-    _write_pcm16(s["out_wav"], s["rate"], total, blocks)
-
-    with _csv_open(s["out_csv"]) as fh:
-        fh.write("I,X,Y,Z,R,G,B\n")
-        for index, (x, y, z), (r, g, b) in zip(grid, xyz.tolist(), rgb.tolist()):
-            fh.write(f"{index:.6f},{x:.6f},{y:.6f},{z:.6f},{r},{g},{b}\n")
-
-    write_ppm(s["out_img"], _squares_image(rgb))
-
-    max_adjacent = float(np.max(_adjacent_distances(rgb), initial=0.0))
-    span = _full_span_distance(rgb)
-
     log_path = s["out_log"] or str(Path(s["out_csv"]).with_suffix(".log"))
-    with _csv_open(log_path) as fh:
-        fh.write("command: fm-path\n")
-        for key, value in s.items():  # in _FM_PATH_OPTIONS order
-            if not key.startswith("out_"):
-                fh.write(f"{key}: {value}\n")
-        fh.write(f"grid_rows: {len(grid)}\n")
-        fh.write(f"segment_samples: {seg}\n")
-        fh.write(f"total_samples: {total}\n")
-        fh.write(f"duration_sec: {total / s['rate']:.6f}\n")
-        for index, order, weight in zip(grid, orders.tolist(), weights.tolist()):
-            fh.write(f"I={index:.6f} N={order} weight_sum={weight:.9f}\n")
-        fh.write(f"max_adjacent_srgb_distance: {max_adjacent:.6f}\n")
-        fh.write(f"full_span_srgb_distance: {span:.6f}\n")
-
-    print(
-        f"fm-path: {len(grid)} colors, {total} samples "
-        f"({total / s['rate']:.3f} s) -> {s['out_wav']}, {s['out_csv']}, "
-        f"{s['out_img']}, {log_path}"
+    settings = "".join(f"{key}: {value}\n" for key, value in s.items() if not key.startswith("out_"))
+    head = (f"command: fm-path\n{settings}grid_rows: {len(grid)}\nsegment_samples: {seg}\n"
+            f"total_samples: {total}\nduration_sec: {total / s['rate']:.6f}\n")  # settings in option order
+    tail = (f"max_adjacent_srgb_distance: {np.max(_adjacent_distances(rgb), initial=0.0):.6f}\n"
+            f"full_span_srgb_distance: {_full_span_distance(rgb):.6f}\n")
+    csv = (f"{index:.6f},{x:.6f},{y:.6f},{z:.6f},{r},{g},{b}\n"
+           for index, (x, y, z), (r, g, b) in zip(grid, xyz.tolist(), rgb.tolist()))
+    log = (f"I={index:.6f} N={order} weight_sum={weight:.9f}\n"
+           for index, order, weight in zip(grid, orders.tolist(), weights.tolist()))
+    _write(
+        (s["out_wav"], _wav_pieces(s["rate"], total, blocks)),
+        (s["out_csv"], _ascii(["I,X,Y,Z,R,G,B\n"], csv)),
+        (s["out_img"], _ppm_pieces(_squares_image(rgb))),
+        (log_path, _ascii([head], log, [tail])),
     )
+    print(f"fm-path: {len(grid)} colors, {total} samples ({total / s['rate']:.3f} s) -> "
+          f"{s['out_wav']}, {s['out_csv']}, {s['out_img']}, {log_path}")
     return 0
-
-
-def _lines_csv(fh, spectrum: LineSpectrum) -> None:
-    fh.write("frequency,amplitude,phase\n")
-    columns = (spectrum.frequencies, spectrum.amplitudes, spectrum.phases)
-    for frequency, amplitude, phase in zip(*(column.tolist() for column in columns)):
-        fh.write(f"{frequency:.6f},{amplitude:.6f},{phase:.6f}\n")
 
 
 def _run_wav2color(s: dict[str, Any]) -> int:
@@ -317,19 +297,15 @@ def _run_wav2color(s: dict[str, Any]) -> int:
     octave = OctaveMap(base_hz=s["base"], flip=s["flip_orientation"])
     xyz = spectrum_to_xyz(spectrum, octave, standard_observer())
     srgb = xyz_to_srgb(xyz)
-
-    with _csv_open(s["out_csv"]) as fh:
-        _lines_csv(fh, spectrum)
-        fh.write("\n")
-        fh.write("X,Y,Z,R,G,B\n")
-        fh.write(
-            f"{xyz.x:.6f},{xyz.y:.6f},{xyz.z:.6f},{srgb.r},{srgb.g},{srgb.b}\n"
-        )
-
-    swatch = np.zeros((SWATCH_SIZE, SWATCH_SIZE, 3), dtype=np.uint8)
-    swatch[:, :] = (srgb.r, srgb.g, srgb.b)
-    write_ppm(s["out_img"], swatch)
-
+    columns = (spectrum.frequencies, spectrum.amplitudes, spectrum.phases)
+    lines = (f"{frequency:.6f},{amplitude:.6f},{phase:.6f}\n"
+             for frequency, amplitude, phase in zip(*(column.tolist() for column in columns)))
+    color = f"\nX,Y,Z,R,G,B\n{xyz.x:.6f},{xyz.y:.6f},{xyz.z:.6f},{srgb.r},{srgb.g},{srgb.b}\n"
+    swatch = np.full((SWATCH_SIZE, SWATCH_SIZE, 3), (srgb.r, srgb.g, srgb.b), dtype=np.uint8)
+    _write(
+        (s["out_csv"], _ascii(["frequency,amplitude,phase\n"], lines, [color])),
+        (s["out_img"], _ppm_pieces(swatch)),
+    )
     print(
         f"wav2color: {len(spectrum.frequencies)} lines -> "
         f"#{srgb.r:02X}{srgb.g:02X}{srgb.b:02X} ({s['out_csv']}, {s['out_img']})"
@@ -344,15 +320,17 @@ def _parse_hex_color(text: str) -> tuple[int, int, int]:
     return int(raw[0:2], 16), int(raw[2:4], 16), int(raw[4:6], 16)
 
 
-def _write_pieces(path: str, pieces: list) -> None:
-    """Write the (weight, text) pieces' texts to path in two processes, as repr holds
-    the GIL: a forked child formats the pieces past half the total weight into an
-    unlinked temporary file and leaves by os._exit, flushing no inherited buffer and
-    running none of the caller's teardown.  This process formats the rest into path,
-    always reaps the child, then appends its bytes in chunks.  Without os.fork, serially."""
+def _gesture_bytes(path: str, pieces: list) -> Iterator[bytes]:
+    """The (weight, text) pieces' texts as ASCII bytes, in two processes once their total
+    weight passes _FORK_WEIGHT, as repr holds the GIL: a forked child formats the pieces
+    past half that weight into an unlinked temporary file and leaves by os._exit, running
+    none of the caller's teardown.  This process yields the rest, always reaps the child
+    (on close too), then yields the child's bytes in 64 KiB chunks.  Below that weight,
+    or without os.fork, one process formats every piece."""
     ends = np.cumsum([weight for weight, _text in pieces])
-    half = int(np.searchsorted(ends, ends[-1] / 2)) + 1 if hasattr(os, "fork") else len(pieces)
-    with open(path, "wb") as out, tempfile.TemporaryFile() as rest:
+    fork = hasattr(os, "fork") and ends[-1] > _FORK_WEIGHT
+    half = int(np.searchsorted(ends, ends[-1] / 2)) + 1 if fork else len(pieces)
+    with tempfile.TemporaryFile() as rest:
         pid = os.fork() if half < len(pieces) else -1
         if pid == 0:
             try:
@@ -362,13 +340,13 @@ def _write_pieces(path: str, pieces: list) -> None:
             finally:  # reached on an error only
                 os._exit(1)
         try:
-            out.writelines(text().encode("ascii") for _weight, text in pieces[:half])
+            yield from (text().encode("ascii") for _weight, text in pieces[:half])
         finally:
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) if pid > 0 else 0
         if code:
             raise OSError(f"{path}: the process formatting its second half exited with {code}")
         rest.seek(0)
-        shutil.copyfileobj(rest, out)
+        yield from iter(lambda: rest.read(1 << 16), b"")
 
 
 def _run_envelope_transfer(s: dict[str, Any]) -> int:
@@ -388,12 +366,12 @@ def _run_envelope_transfer(s: dict[str, Any]) -> int:
     scale = np.array(base_rgb, dtype=np.float64)
     # (time, amplitude) rows -> amplitude-scaled base color, black at zero
     colorized = _map_rows(lambda pts, _label: pts[:, 1:2] * scale, envelope)
-    _write_pieces(s["out_gesture"], list(_gesture_text(colorized)))
-
     amps = np.interp(total * (np.arange(STRIP_WIDTH) + 0.5) / STRIP_WIDTH, times, levels)
     row = np.floor(amps[:, None] * scale + 0.5).astype(np.uint8)
-    write_ppm(s["out_img"], np.repeat(row[None], STRIP_HEIGHT, axis=0))
-
+    _write(
+        (s["out_gesture"], _gesture_bytes(s["out_gesture"], list(_gesture_text(colorized)))),
+        (s["out_img"], _ppm_pieces(np.repeat(row[None], STRIP_HEIGHT, axis=0))),
+    )
     print(
         f"envelope-transfer: {total:.3f} s envelope in "
         f"#{base_rgb[0]:02X}{base_rgb[1]:02X}{base_rgb[2]:02X} -> "

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .ppm import _write
 from .synth import _BLOCK_SAMPLES, SampledWave, _gather
 
 __all__ = ["WavFormatError", "write_wav", "read_wav"]
@@ -32,7 +33,7 @@ class WavFormatError(ValueError):
 
 def write_wav(wave: SampledWave, path: str | Path) -> None:
     """Write samples as 16-bit PCM mono; inputs must lie in [-1, 1]."""
-    _write_pcm16(path, wave.sample_rate, len(wave.samples), [wave.samples])
+    _write((path, _wav_pieces(wave.sample_rate, len(wave.samples), [wave.samples])))
 
 
 def _pcm16(blocks):
@@ -54,10 +55,10 @@ def _check_wav_rate(rate: int) -> None:
         raise ValueError(f"sample rate {rate} exceeds the WAV limit of 2147483647")
 
 
-def _write_pcm16(path: str | Path, rate: int, count: int, blocks) -> None:
-    """Write count samples, given as float64 blocks, header first.  The file
-    is opened once the first block passes its check, so a bad first block
-    leaves a file at path as it was; a later failure removes the new file."""
+def _wav_pieces(rate: int, count: int, blocks):
+    """The pieces of a WAV file of count samples, given as float64 blocks: the
+    header and the first block come only once that block passes its check, so
+    _write leaves a file at the path as it was when the first block is bad."""
     _check_wav_rate(rate)
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + 2 * count, b"WAVE", b"fmt ", 16,
@@ -66,15 +67,8 @@ def _write_pcm16(path: str | Path, rate: int, count: int, blocks) -> None:
     )
     pieces = _pcm16(blocks)
     first = next(pieces, b"")
-    fh = open(path, "wb")
-    try:
-        with fh:  # inside the try: a failed flush on close also removes the file
-            fh.writelines((header, first))  # before the next block reuses first's buffer
-            fh.writelines(pieces)
-    except BaseException:
-        if Path(path).is_file() and not Path(path).is_symlink():  # not /dev/stdout
-            Path(path).unlink()
-        raise
+    yield from (header, first)
+    yield from pieces
 
 
 @contextlib.contextmanager

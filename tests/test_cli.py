@@ -1,5 +1,6 @@
 """Command line behavior: outputs, determinism, config handling."""
 
+import builtins
 import math
 import os
 import re
@@ -46,6 +47,15 @@ from timbrecolor.synth import (
     render_fm_wave,
 )
 from timbrecolor.wavefile import read_wav, write_wav
+
+
+@pytest.fixture(scope="module")
+def tone(tmp_path_factory):
+    """0.05 s of a 440 Hz tone, the wav2color input of TestEdgeValues and TestFaultTable."""
+    path = tmp_path_factory.mktemp("edge") / "tone.wav"
+    t = np.arange(2205) / 44100
+    write_wav(SampledWave(44100, 0.5 * np.sin(2.0 * math.pi * 440.0 * t)), path)
+    return path
 
 
 def run_fm_path(tmp_path, *extra):
@@ -756,13 +766,6 @@ class TestEdgeValues:
     through --config, with warnings as errors: exit 0 with nothing on stderr,
     or exit 2 with an error line."""
 
-    @pytest.fixture(scope="class")
-    def tone(self, tmp_path_factory):
-        path = tmp_path_factory.mktemp("edge") / "tone.wav"
-        t = np.arange(2205) / 44100  # 0.05 s
-        write_wav(SampledWave(44100, 0.5 * np.sin(2.0 * math.pi * 440.0 * t)), path)
-        return path
-
     def test_the_table_names_every_numeric_flag(self):
         options = {
             "fm-path": cli._FM_PATH_OPTIONS,
@@ -1010,8 +1013,9 @@ class TestEnvelopeTransferCommand:
 
 
 class TestGestureWriter:
-    """envelope-transfer writes its gesture text in two processes: a forked child
-    formats the pieces past half the total weight, this process the rest."""
+    """envelope-transfer writes its gesture text in two processes once the text's
+    total weight passes cli._FORK_WEIGHT (3 * 4096): a forked child formats the
+    pieces past half the total weight, this process the rest."""
 
     @staticmethod
     def run(tmp_path, samples, sustain_level="0.37", color="3b7fc2"):
@@ -1046,22 +1050,22 @@ class TestGestureWriter:
         assert list((tmp_path / "tmp").iterdir()) == []
 
     @pytest.mark.parametrize(
-        "samples, sustain_level, color",
+        "samples, sustain_level, color, forked",
         [
-            (16, "0.37", "3b7fc2"),  # the default size
-            (4096, "0.37", "3b7fc2"),  # one whole block per path
-            (4097, "0.37", "3b7fc2"),  # a one-line block after each whole one
-            (100_000, "0.37", "3b7fc2"),  # the cut inside the decay, 25 blocks a path
-            (3 * 4096 + 1, "1.0", "3b7fc2"),  # the cut inside the constant decay
-            (5000, "0.37", "000000"),  # every piece a constant run of weight 1
+            (16, "0.37", "3b7fc2", []),  # the default size: weight 54, one process
+            (4096, "0.37", "3b7fc2", [1]),  # one whole block per path: weight 12 294
+            (4097, "0.37", "3b7fc2", [1]),  # a one-line block after each whole one
+            (100_000, "0.37", "3b7fc2", [1]),  # the cut inside the decay, 25 blocks a path
+            (3 * 4096 + 1, "1.0", "3b7fc2", [1]),  # the cut inside the constant decay
+            (5000, "0.37", "000000", []),  # every piece a constant run of weight 1: 9 in all
         ],
     )
     def test_file_equals_serialize_gesture_at_the_split_edges(
-        self, tmp_path, forks, samples, sustain_level, color
+        self, tmp_path, forks, samples, sustain_level, color, forked
     ):
         code, out = self.run(tmp_path, samples, sustain_level, color)
         assert code == 0
-        assert forks == [1]
+        assert forks == forked
         assert out.read_bytes() == self.expected(samples, sustain_level, color)
         self.assert_no_child_and_no_temporary_file(tmp_path)
 
@@ -1078,11 +1082,12 @@ class TestGestureWriter:
             yield 1, lambda: "%r" % (1 / 0,)
 
         monkeypatch.setattr(cli, "_gesture_text", with_a_failing_last_piece)
-        code, out = self.run(tmp_path, 16)
+        code, out = self.run(tmp_path, 4097)
         assert (code, forks) == (2, [1])
         assert capsys.readouterr().err == (
             f"error: {out}: the process formatting its second half exited with 1\n"
         )
+        assert not out.exists()  # the half this process wrote is removed
         self.assert_no_child_and_no_temporary_file(tmp_path)
 
     def test_a_failing_parent_still_reaps_the_child(self, tmp_path, forks, monkeypatch, capsys):
@@ -1094,10 +1099,150 @@ class TestGestureWriter:
             yield from gesture._gesture_text(g)
 
         monkeypatch.setattr(cli, "_gesture_text", with_a_failing_first_piece)
-        assert self.run(tmp_path, 16)[0] == 2
+        assert self.run(tmp_path, 4097)[0] == 2
         assert forks == [1]
         assert capsys.readouterr().err == "error: boom\n"
         self.assert_no_child_and_no_temporary_file(tmp_path)
+
+
+# each command's small settings and its outputs as (flag, file name), in the order it writes them
+WRITERS = {
+    "fm-path": (
+        ["--i-end", "1.0", "--i-step", "0.25", "--seg-dur", "0.02"],
+        [("--out-wav", "p.wav"), ("--out-csv", "p.csv"), ("--out-img", "p.ppm"), ("--out-log", "p.log")],
+    ),
+    "wav2color": (["--fundamental", "440"], [("--out-csv", "w.csv"), ("--out-img", "w.ppm")]),
+    "envelope-transfer": (  # past cli._FORK_WEIGHT, so the gesture text is written by two processes
+        ["--color", "3b7fc2", "--samples-per-segment", "4097"],
+        [("--out-gesture", "g.txt"), ("--out-img", "s.ppm")],
+    ),
+}
+FAULTS = ["missing-directory", "mid-write", "close", "interrupt"]
+FAULT_ROWS = [
+    (command, name, fault)
+    for command, (_settings, outputs) in WRITERS.items()
+    for _flag, name in outputs
+    for fault in FAULTS + (["child"] if name == "g.txt" else [])
+]
+
+
+class FaultyFile:
+    """A file opened for writing that fails at its second write ("mid-write": a
+    full disk, "interrupt": Ctrl-C) or after the real close ("close": a full disk
+    on the last flush)."""
+
+    def __init__(self, fh, fault):
+        self.fh, self.fault, self.writes = fh, fault, 0
+
+    def write(self, piece):
+        if self.writes and self.fault == "mid-write":
+            raise OSError(28, "No space left on device")
+        if self.writes and self.fault == "interrupt":
+            raise KeyboardInterrupt
+        self.writes += 1
+        return self.fh.write(piece)
+
+    def writelines(self, pieces):
+        for piece in pieces:  # each piece written before the next is made
+            self.write(piece)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+        if self.fault == "close":
+            raise OSError(28, "No space left on device")
+
+
+class TestFaultTable:
+    """Each command, each of its outputs, each fault: the command exits 2 with one
+    error line (or the interrupt propagates), and leaves no file it created, no
+    child process and no temporary file.  A file at an output path that the
+    command never opened, the outputs after the failing one, stays untouched."""
+
+    @pytest.mark.parametrize("command, name, fault", FAULT_ROWS, ids=["-".join(row) for row in FAULT_ROWS])
+    def test_a_failed_command_leaves_nothing_it_wrote(
+        self, tmp_path, monkeypatch, capsys, tone, command, name, fault
+    ):
+        settings, outputs = WRITERS[command]
+        names = [n for _flag, n in outputs]
+        out = tmp_path / "out"
+        out.mkdir()
+        (tmp_path / "tmp").mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+        paths = {n: out / n for n in names}
+        if fault == "missing-directory":
+            paths[name] = tmp_path / "missing" / name
+        never_opened = names[names.index(name) + 1 :]
+        for n in never_opened:
+            paths[n].write_bytes(b"before the run: " + n.encode())
+        if fault in ("mid-write", "close", "interrupt"):
+            real_open = open
+
+            def faulty_open(path, *args, **kwargs):
+                fh = real_open(path, *args, **kwargs)
+                return FaultyFile(fh, fault) if Path(path) == paths[name] else fh
+
+            monkeypatch.setattr(builtins, "open", faulty_open)
+        if fault == "child":
+
+            def with_a_failing_last_piece(g):
+                yield from gesture._gesture_text(g)
+                yield 1, lambda: "%r" % (1 / 0,)
+
+            monkeypatch.setattr(cli, "_gesture_text", with_a_failing_last_piece)
+        argv = [command, *settings, *(arg for flag, n in outputs for arg in (flag, str(paths[n])))]
+        if command == "wav2color":
+            argv += ["--in", str(tone)]
+
+        if fault == "interrupt":
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+            assert capsys.readouterr() == ("", "")
+        else:
+            assert main(argv) == 2
+            stdout, stderr = capsys.readouterr()
+            assert stdout == ""
+            assert re.fullmatch(r"error: [^\n]+\n", stderr), stderr
+        assert sorted(p.name for p in out.iterdir()) == sorted(never_opened)
+        for n in never_opened:
+            assert paths[n].read_bytes() == b"before the run: " + n.encode()
+        assert not (tmp_path / "missing").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert list((tmp_path / "tmp").iterdir()) == []
+
+    def test_the_table_covers_every_output_of_every_command(self):
+        options = {name: specs for name, _help, specs, _run in cli._COMMANDS}
+        for command, (_settings, outputs) in WRITERS.items():
+            flags = sorted(f"--{opt.name}" for opt in options[command] if opt.name.startswith("out-"))
+            assert sorted(flag for flag, _name in outputs) == flags
+        assert len(FAULT_ROWS) == 8 * 4 + 1
+
+
+class TestOutputsAtOnePath:
+    """Two outputs that name one path are refused before any file is opened."""
+
+    @pytest.mark.parametrize(
+        "argv, shared",
+        [
+            (["fm-path", "--out-csv", "o/a.log"], "o/a.log"),  # the default log path is the CSV's
+            (["fm-path", "--out-wav", "o/x", "--out-img", "o/x", "--out-csv", "o/a.csv"], "o/x"),
+            (["envelope-transfer", "--color", "20A0FF", "--out-gesture", "o/x", "--out-img", "o/./x"], "o/x"),
+        ],
+        ids=["fm-path-csv-and-default-log", "fm-path-wav-and-img", "envelope-transfer-gesture-and-img"],
+    )
+    def test_exit_2_naming_the_path_and_no_file_written(self, tmp_path, monkeypatch, capsys, argv, shared):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "o").mkdir()
+        (tmp_path / shared).write_bytes(b"before the run")
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"error: two outputs name the same path {tmp_path / shared}\n"
+        )
+        assert list((tmp_path / "o").iterdir()) == [tmp_path / shared]
+        assert (tmp_path / shared).read_bytes() == b"before the run"
 
 
 class TestParserBehavior:

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from timbrecolor import ppm
 from timbrecolor.ppm import read_ppm, write_ppm
 
 
@@ -49,6 +50,31 @@ class TestWritePPM:
             write_ppm(tmp_path / "a.ppm", pixels)
         assert str(info.value) == message
         assert list(tmp_path.iterdir()) == []
+
+    def test_bad_pixels_leave_an_existing_file_untouched(self, tmp_path):
+        path = tmp_path / "keep.ppm"
+        path.write_bytes(b"previous contents")
+        with pytest.raises(ValueError, match=r"^pixels must be uint8, got float64$"):
+            write_ppm(path, np.zeros((2, 3, 3)))
+        assert path.read_bytes() == b"previous contents"
+
+    def test_a_failed_close_removes_the_file(self, tmp_path, monkeypatch):
+        def open_on_a_full_disk(path, mode):
+            fh = open(path, mode)
+            real_close = fh.close
+
+            def close():
+                real_close()
+                raise OSError(28, "No space left on device")
+
+            fh.close = close
+            return fh
+
+        monkeypatch.setattr(ppm, "open", open_on_a_full_disk, raising=False)
+        path = tmp_path / "full.ppm"
+        with pytest.raises(OSError, match="No space left"):
+            write_ppm(path, np.zeros((2, 3, 3), dtype=np.uint8))
+        assert not path.exists()
 
 
 PIXELS = bytes(range(18))  # a 3 x 2 image

@@ -8,10 +8,11 @@ import wave as stdlib_wave
 import numpy as np
 import pytest
 
-from timbrecolor import wavefile
+from timbrecolor import ppm, wavefile
 from timbrecolor.cli import main
 from timbrecolor.synth import SampledWave
-from timbrecolor.wavefile import WavFormatError, _write_pcm16, read_wav, write_wav
+from timbrecolor.ppm import _write
+from timbrecolor.wavefile import WavFormatError, _wav_pieces, read_wav, write_wav
 
 
 def pcm16_file(
@@ -104,7 +105,7 @@ class TestBlockWriter:
     def test_blocks_write_the_bytes_of_one_buffer(self, tmp_path):
         samples = np.random.default_rng(5).uniform(-1.0, 1.0, 1000)
         write_wav(SampledWave(sample_rate=8000, samples=samples), tmp_path / "one.wav")
-        _write_pcm16(tmp_path / "many.wav", 8000, 1000, np.split(samples, [0, 1, 300, 999]))
+        _write((tmp_path / "many.wav", _wav_pieces(8000, 1000, np.split(samples, [0, 1, 300, 999]))))
         assert (tmp_path / "many.wav").read_bytes() == (tmp_path / "one.wav").read_bytes()
 
     def test_empty_wave_is_a_bare_header(self, tmp_path):
@@ -126,7 +127,7 @@ class TestBlockWriter:
         path.write_bytes(b"previous contents")
         blocks = [np.zeros(4), np.array([0.5, bad])]
         with pytest.raises(ValueError, match=r"^samples exceed \[-1, 1\]; normalize before writing$"):
-            _write_pcm16(path, 8000, 6, blocks)
+            _write((path, _wav_pieces(8000, 6, blocks)))
         assert not path.exists()
 
     def test_an_interrupted_write_removes_the_partial_file(self, tmp_path):
@@ -136,7 +137,7 @@ class TestBlockWriter:
 
         path = tmp_path / "stopped.wav"
         with pytest.raises(KeyboardInterrupt):
-            _write_pcm16(path, 8000, 8, blocks())
+            _write((path, _wav_pieces(8000, 8, blocks())))
         assert not path.exists()
 
     def test_a_failed_close_removes_the_file(self, tmp_path, monkeypatch):
@@ -151,10 +152,10 @@ class TestBlockWriter:
             fh.close = close
             return fh
 
-        monkeypatch.setattr(wavefile, "open", open_on_a_full_disk, raising=False)
+        monkeypatch.setattr(ppm, "open", open_on_a_full_disk, raising=False)
         path = tmp_path / "full.wav"
         with pytest.raises(OSError, match="No space left"):
-            _write_pcm16(path, 8000, 4, [np.zeros(4)])
+            _write((path, _wav_pieces(8000, 4, [np.zeros(4)])))
         assert not path.exists()
 
     def test_a_symlink_is_not_removed(self, tmp_path):
@@ -162,7 +163,7 @@ class TestBlockWriter:
         link = tmp_path / "link.wav"
         link.symlink_to(target)
         with pytest.raises(ValueError):
-            _write_pcm16(link, 8000, 6, [np.zeros(4), np.array([2.0, 0.0])])
+            _write((link, _wav_pieces(8000, 6, [np.zeros(4), np.array([2.0, 0.0])])))
         assert link.is_symlink()
 
 
@@ -208,7 +209,7 @@ class TestReusedBuffers:
         if blocks and len(blocks[0]):
             blocks[0][: len(EDGE_VALUES)] = EDGE_VALUES[: len(blocks[0])]
         count = sum(sizes)
-        _write_pcm16(tmp_path / "w.wav", 8000, count, iter(blocks))
+        _write((tmp_path / "w.wav", _wav_pieces(8000, count, iter(blocks))))
         raw = (tmp_path / "w.wav").read_bytes()
         assert len(raw) == 44 + 2 * count
         assert raw[44:] == b"".join(map(one_shot_pcm16, blocks))

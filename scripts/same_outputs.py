@@ -133,6 +133,8 @@ def cases(inputs: Path) -> list[dict]:
     found.append(_case("fm-path from index 1e-300: a Bessel column below 2**-600", argv))
     argv = ["fm-path", "--i-end", "2000", "--i-step", "1", "--seg-dur", "0.001"]
     found.append(_case("fm-path to index 2000: refused before the first color row", argv))
+    argv = ["envelope-transfer", "--color", "000001", "--sustain-level", "0.001", "--samples-per-segment", "5000"]
+    found.append(_case("envelope-transfer below 1e-4: gesture values in e-notation", argv))
     for argv in (["--help"], *([command, "--help"] for command in EDGE_SETTINGS)):
         found.append(_case(" ".join(argv), argv))
     argv = ["fm-path", "--rate", "2147483648", "--seg-dur", "1e-9", "--i-end", "2000"]

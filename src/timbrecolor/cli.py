@@ -20,9 +20,7 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator, Sequence
@@ -32,7 +30,7 @@ import numpy as np
 from .bessel import _validate_arguments
 from .color import ColorMatchingTable, OctaveMap, _cube_rows, _srgb_rows, _xyz_rows
 from .color import spectrum_to_xyz, standard_observer, xyz_to_srgb
-from .gesture import _TEXT_ROWS, _gesture_text, _map_rows, adsr_gesture
+from .gesture import _gesture_text, _map_rows, adsr_gesture
 from .ppm import _ppm_pieces, _write
 from .spectrum import _fold_rows, _sideband_rows
 from .synth import _analyze_blocks, _check_size, _fm_path_blocks, _segment_samples
@@ -47,7 +45,6 @@ STRIP_WIDTH = 512
 STRIP_HEIGHT = 32
 _ENVELOPE_PEAK = 1.0
 _BLOCK_INDICES = 256  # grid values per _fm_path_rows pass, colors per _full_span_distance tile
-_FORK_WEIGHT = 3 * _TEXT_ROWS  # gesture text weight past which a second process pays
 
 
 @dataclass(frozen=True)
@@ -107,20 +104,15 @@ def _dest(name: str) -> str:
 
 
 def _add_options(parser: argparse.ArgumentParser, options: Sequence[OptionSpec]) -> None:
-    parser.add_argument(
-        "--config",
-        default=None,
-        metavar="PATH",
-        help="key=value file supplying defaults for any flag below",
-    )
+    parser.add_argument("--config", default=None, metavar="PATH",
+                        help="key=value file supplying defaults for any flag below")
     for opt in options:
         if opt.kind is bool:
             kind = {"action": "store_true"}
         else:
             kind = {"type": opt.kind, "metavar": opt.name.upper().replace("-", "_")}
-        parser.add_argument(
-            f"--{opt.name}", dest=_dest(opt.name), default=argparse.SUPPRESS, help=opt.help, **kind
-        )
+        parser.add_argument(f"--{opt.name}", dest=_dest(opt.name), default=argparse.SUPPRESS,
+                            help=opt.help, **kind)
 
 
 def _parse_config_value(opt: OptionSpec, raw: str, lineno: int) -> Any:
@@ -130,16 +122,12 @@ def _parse_config_value(opt: OptionSpec, raw: str, lineno: int) -> Any:
             return True
         if lowered in ("0", "false", "no", "off"):
             return False
-        raise ValueError(
-            f"config line {lineno}: boolean key '{opt.name}' got {raw!r}"
-        )
+        raise ValueError(f"config line {lineno}: boolean key '{opt.name}' got {raw!r}")
     try:
         return opt.kind(raw.strip())
     except ValueError:
         raise ValueError(
-            f"config line {lineno}: key '{opt.name}' expects "
-            f"{opt.kind.__name__}, got {raw!r}"
-        ) from None
+            f"config line {lineno}: key '{opt.name}' expects {opt.kind.__name__}, got {raw!r}") from None
 
 
 def _load_config(path: str, options: Sequence[OptionSpec]) -> dict[str, Any]:
@@ -160,9 +148,7 @@ def _load_config(path: str, options: Sequence[OptionSpec]) -> dict[str, Any]:
     return loaded
 
 
-def _merge_settings(
-    args: argparse.Namespace, options: Sequence[OptionSpec]
-) -> dict[str, Any]:
+def _merge_settings(args: argparse.Namespace, options: Sequence[OptionSpec]) -> dict[str, Any]:
     settings = {_dest(opt.name): opt.default for opt in options}
     if args.config is not None:
         settings.update(_load_config(args.config, options))
@@ -320,35 +306,6 @@ def _parse_hex_color(text: str) -> tuple[int, int, int]:
     return int(raw[0:2], 16), int(raw[2:4], 16), int(raw[4:6], 16)
 
 
-def _gesture_bytes(path: str, pieces: list) -> Iterator[bytes]:
-    """The (weight, text) pieces' texts as ASCII bytes, in two processes once their total
-    weight passes _FORK_WEIGHT, as repr holds the GIL: a forked child formats the pieces
-    past half that weight into an unlinked temporary file and leaves by os._exit, running
-    none of the caller's teardown.  This process yields the rest, always reaps the child
-    (on close too), then yields the child's bytes in 64 KiB chunks.  Below that weight,
-    or without os.fork, one process formats every piece."""
-    ends = np.cumsum([weight for weight, _text in pieces])
-    fork = hasattr(os, "fork") and ends[-1] > _FORK_WEIGHT
-    half = int(np.searchsorted(ends, ends[-1] / 2)) + 1 if fork else len(pieces)
-    with tempfile.TemporaryFile() as rest:
-        pid = os.fork() if half < len(pieces) else -1
-        if pid == 0:
-            try:
-                rest.writelines(text().encode("ascii") for _weight, text in pieces[half:])
-                rest.flush()
-                os._exit(0)
-            finally:  # reached on an error only
-                os._exit(1)
-        try:
-            yield from (text().encode("ascii") for _weight, text in pieces[:half])
-        finally:
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) if pid > 0 else 0
-        if code:
-            raise OSError(f"{path}: the process formatting its second half exited with {code}")
-        rest.seek(0)
-        yield from iter(lambda: rest.read(1 << 16), b"")
-
-
 def _run_envelope_transfer(s: dict[str, Any]) -> int:
     base_rgb = _parse_hex_color(s["color"])
     envelope = adsr_gesture(
@@ -369,7 +326,7 @@ def _run_envelope_transfer(s: dict[str, Any]) -> int:
     amps = np.interp(total * (np.arange(STRIP_WIDTH) + 0.5) / STRIP_WIDTH, times, levels)
     row = np.floor(amps[:, None] * scale + 0.5).astype(np.uint8)
     _write(
-        (s["out_gesture"], _gesture_bytes(s["out_gesture"], list(_gesture_text(colorized)))),
+        (s["out_gesture"], _gesture_text(colorized)),
         (s["out_img"], _ppm_pieces(np.repeat(row[None], STRIP_HEIGHT, axis=0))),
     )
     print(

@@ -15,6 +15,7 @@ both shared endpoints.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -44,7 +45,7 @@ __all__ = [
 ENDPOINT_TOLERANCE = 1e-9
 # adsr_gesture's path size cap; envelope-transfer peaks near 70 MB RSS at 10**6 points
 MAX_PATH_POINTS = 1_000_000
-_TEXT_ROWS = 4096  # path lines per %-format in _gesture_text
+_TEXT_ROWS = 2048  # path lines per _float_text call: its temporaries stay near 1 MB, which malloc reuses
 # parse_gesture's records by tag: what an early end of text names, the form a bad line
 # names, the field count with the tag (0: any from 2 up), the field type, its error
 _RECORDS = {
@@ -138,14 +139,9 @@ class Band:
         first = self.rows[0]
         for i, row in enumerate(self.rows):
             if row.sample_count != first.sample_count or row.dimension != first.dimension:
-                raise ValueError(
-                    f"band row {i} has shape {row.points.shape}, "
-                    f"expected {first.points.shape}"
-                )
+                raise ValueError(f"band row {i} has shape {row.points.shape}, expected {first.points.shape}")
             if not _close(row.start, first.start) or not _close(row.end, first.end):
-                raise EndpointError(
-                    f"band row {i} does not share the boundary endpoints"
-                )
+                raise EndpointError(f"band row {i} does not share the boundary endpoints")
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,10 +161,7 @@ class Gesture:
         arrows = self.digraph.arrows
         points = np.asarray(self.vertex_points, dtype=np.float64)
         if points.ndim != 2 or points.shape[0] != self.digraph.vertex_count:
-            raise ValueError(
-                f"vertex points must be ({self.digraph.vertex_count}, d), "
-                f"got {points.shape}"
-            )
+            raise ValueError(f"vertex points must be ({self.digraph.vertex_count}, d), got {points.shape}")
         if not np.all(np.isfinite(points)):
             raise ValueError("vertex points must be finite")
         paths = tuple(self.arrow_paths)
@@ -176,10 +169,8 @@ class Gesture:
             raise ValueError(f"expected {len(arrows)} arrow paths, got {len(paths)}")
         for idx, ((src, dst), path) in enumerate(zip(arrows, paths)):
             if path.dimension != points.shape[1]:
-                raise ValueError(
-                    f"arrow {idx}: path dimension {path.dimension} differs from "
-                    f"vertex dimension {points.shape[1]}"
-                )
+                raise ValueError(f"arrow {idx}: path dimension {path.dimension} differs from "
+                                 f"vertex dimension {points.shape[1]}")
             for moves, k, role, v in (("starts", 0, "source", src), ("ends", -1, "target", dst)):
                 if not _close(path.points[k], points[v]):
                     raise EndpointError(
@@ -223,14 +214,10 @@ def concatenate(first: SampledPath, second: SampledPath) -> SampledPath:
     associative on the underlying arrays.
     """
     if first.dimension != second.dimension:
-        raise ValueError(
-            f"cannot concatenate paths in R^{first.dimension} and R^{second.dimension}"
-        )
+        raise ValueError(f"cannot concatenate paths in R^{first.dimension} and R^{second.dimension}")
     if not _close(first.end, second.start):
-        raise EndpointError(
-            f"paths do not meet: first ends at {first.end.tolist()}, "
-            f"second starts at {second.start.tolist()}"
-        )
+        raise EndpointError(f"paths do not meet: first ends at {first.end.tolist()}, "
+                            f"second starts at {second.start.tolist()}")
     return SampledPath(points=np.vstack([first.points, second.points[1:]]))
 
 
@@ -243,10 +230,7 @@ def linear_band(from_path: SampledPath, to_path: SampledPath, row_count: int) ->
     if row_count < 2:
         raise ValueError(f"band needs at least 2 rows, got {row_count}")
     if from_path.points.shape != to_path.points.shape:
-        raise ValueError(
-            f"paths must share shape, got {from_path.points.shape} "
-            f"and {to_path.points.shape}"
-        )
+        raise ValueError(f"paths must share shape, got {from_path.points.shape} and {to_path.points.shape}")
     if not _close(from_path.start, to_path.start) or not _close(
         from_path.end, to_path.end
     ):
@@ -272,10 +256,8 @@ def _map_points(f: PointMap, points: np.ndarray, label: str) -> np.ndarray:
         if width is None:
             width = image.shape[0]
         elif image.shape[0] != width:
-            raise ValueError(
-                f"point map changed output dimension at {label} {i}: "
-                f"{image.shape[0]} != {width}"
-            )
+            raise ValueError(f"point map changed output dimension at {label} {i}: "
+                             f"{image.shape[0]} != {width}")
         images.append(image)
     return np.array(images)
 
@@ -329,14 +311,9 @@ def adsr_gesture(
         raise ValueError(f"need 4 stage durations, got {len(stages)}")
     for i, d in enumerate(stages):
         if not (math.isfinite(d) and d > 0.0):
-            raise ValueError(
-                f"stage {i} duration must be positive, got {d!r} "
-                f"(times must strictly increase)"
-            )
+            raise ValueError(f"stage {i} duration must be positive, got {d!r} (times must strictly increase)")
     if samples_per_segment < 2:
-        raise ValueError(
-            f"need at least 2 samples per segment, got {samples_per_segment}"
-        )
+        raise ValueError(f"need at least 2 samples per segment, got {samples_per_segment}")
     total = len(stages) * samples_per_segment
     if total > MAX_PATH_POINTS:
         raise ValueError(f"size guard: {total} path points exceeds cap {MAX_PATH_POINTS}")
@@ -350,26 +327,88 @@ def adsr_gesture(
     return make_gesture(digraph, vertices, paths)
 
 
-def _gesture_text(gesture: Gesture) -> Iterator[tuple[int, Callable[[], str]]]:
-    """serialize_gesture's pieces in order, as (weight, text): text() formats the
-    piece, one %-format per block of up to _TEXT_ROWS lines (%r of a Python float
-    is its repr), and weight is the rows it formats, 1 for a constant run."""
-    digraph, line = gesture.digraph, " ".join(["%r"] * gesture.dimension) + "\n"
+@functools.cache
+def _tables() -> tuple:
+    """_float_text's tables, built at its first call.  By exponent field E, clipped to the
+    range it formats: k with 10**(16-k) <= 2**(E-1023) < 10**(17-k), p = 10**k with its
+    Veltkamp halves, and h = p * 2**(E-1076), half a float spacing times p.  By 4-digit
+    group: its ASCII code and trailing zeros.  By start * 28 + end: a row mask, true between."""
+    exponents = np.clip(np.arange(2048), 1009, 1072)
+    k = 16 - ((exponents - 1023) * 78913 >> 18)  # 78913 / 2**18: log10(2)
+    p = np.cumprod([1.0] + [10.0] * 21)[k]
+    ph, z = p * 134217729.0 - (p * 134217729.0 - p), np.arange(10) == 0
+    quads = (np.indices((10,) * 4, np.uint8).reshape(4, -1).T + 48).copy().view(np.uint32).ravel()
+    zeros = (z * (1 + z[:, None] * (1 + z[:, None, None] * (1 + z[:, None, None, None])))).ravel()
+    run = (np.tri(28, k=-1, dtype=bool)[:, None] < np.tri(28, dtype=bool)).reshape(-1, 28)
+    return k, p, ph, p - ph, np.ldexp(p, (exponents - 1076).astype(np.intc)), quads, zeros, run
 
-    def rows(head: str, form: str, block: np.ndarray) -> tuple[int, Callable[[], str]]:
-        bits = block.view(np.int64)  # bitwise: 0.0 == -0.0, but their reprs differ
-        if (bits == bits[0]).all():  # a constant run, such as a sustain
-            return 1, lambda: head + form % tuple(block[0].tolist()) * len(block)
-        return len(block), lambda: (head + form * len(block)) % tuple(block.ravel().tolist())
 
+def _float_text(values: np.ndarray, seps: np.ndarray) -> np.ndarray:
+    """repr(v) + sep for each value and separator byte, in order, as uint8 bytes.
+
+    0 and 1e-4 <= |v| < 1e15 take array passes: |v| * 10**k is hi + lo exactly
+    (Dekker's product), in [1e16, 2e17), and its digits c are the coarsest
+    multiple of 10**j in the rounding interval, nearest hi + lo.  The interval is
+    narrower than 45 and its edges are never integers; at a power of two, whose
+    lower gap is half, hi + lo is itself its one multiple of 100.  c's digits fill
+    a 28-byte row by 4-digit table codes, those past the units digit one byte on
+    for the point, and one mask keeps each value's bytes.  Other values take repr.
+    """
+    ks, ps, phs, pls, hs, quads, tz4, runs = _tables()
+    x = values.ravel()
+    fast = (np.abs(x) >= 1e-4) & (np.abs(x) < 1e15)
+    a = np.where(fast, np.abs(x), 1.0)
+    bits = a.view(np.int64)
+    e = bits >> 52
+    hi, ph, pl = a * np.take(ps, e), np.take(phs, e), np.take(pls, e)
+    ah = (bits & -(1 << 26)).view(np.float64)
+    lo = ah * ph - hi + ah * pl + (a - ah) * ph + (a - ah) * pl
+    h, whole = np.take(hs, e), hi.astype(np.int64)
+    top = whole + np.floor(lo + h).astype(np.int64)
+    width = top - whole - np.ceil(lo - h).astype(np.int64) + 1  # integers in the interval
+    step = 1 + 9 * (top - top // 10 * 10 < width)
+    r = whole - whole // 20 * 20
+    c = whole - r + step * np.rint((r + lo) / step).astype(np.int64)
+    r = top - top // 100 * 100
+    c += (top - r - c) * (r < width)  # the one multiple of 100 in the interval, if any
+    c[x == 0] = 0
+    del hi, ph, pl, ah, lo, h, whole, top, width, step, r
+    digits = np.empty((len(x), 7), np.uint32)
+    digits[:, 0], tz, rest = quads[0], 0, c
+    for i, unit in enumerate((10**16, 10**12, 10**8, 10**4, 1), 1):
+        group = rest // unit
+        rest = rest - group * unit
+        digits[:, i], zeros = np.take(quads, group), np.take(tz4, group)
+        tz = zeros + (zeros == 4) * tz  # trailing zeros of c
+    units, neg, digits = 23 - np.take(ks, e), np.signbit(x), digits.view(np.uint8).ravel()
+    row = np.roll(digits, 1)  # each digit one byte on, then those up to the units digit back
+    row += (digits - row) * np.take(runs, units, axis=0).ravel()
+    at, last = np.arange(0, len(row), 28), np.maximum(23 - tz, units + 1)
+    first = np.minimum(units, 7 - (c >= 10**17)) - neg
+    row[at + units + 1], row[(at + first)[neg]] = ord("."), ord("-")
+    row[at + last + 2] = sep = np.broadcast_to(seps, values.shape).ravel()
+    keep, slow = np.take(runs, first * 28 + last + 2, axis=0), np.flatnonzero(~fast & (x != 0))
+    texts = [repr(v) for v in x[slow].tolist()]
+    size = np.array([len(text) for text in texts], dtype=np.int64)
+    spots = np.repeat(slow * 28 - np.cumsum(size) + size, size) + np.arange(size.sum())  # their bytes
+    row[spots], row[slow * 28 + size] = np.frombuffer("".join(texts).encode(), np.uint8), sep[slow]
+    keep[slow] = np.take(runs, size, axis=0)
+    return row.reshape(-1, 28)[keep]
+
+
+def _gesture_text(gesture: Gesture) -> Iterator[bytes]:
+    """serialize_gesture's text as ASCII bytes, a block of up to _TEXT_ROWS
+    lines at a time through _float_text; a constant run, such as a sustain,
+    is formatted once and repeated."""
+    digraph, seps = gesture.digraph, np.array([32] * (gesture.dimension - 1) + [10], np.uint8)  # " ", "\n"
     arrows = "".join(f"a {src} {dst}\n" for src, dst in digraph.arrows)
-    head = f"digraph {digraph.vertex_count} {len(digraph.arrows)}\n{arrows}"
-    yield rows(head, "v " + line, gesture.vertex_points)
+    yield f"digraph {digraph.vertex_count} {len(digraph.arrows)}\n{arrows}".encode("ascii")
+    yield b"v " + _float_text(gesture.vertex_points, seps).tobytes().replace(b"\n", b"\nv ")[:-2]
     for idx, path in enumerate(gesture.arrow_paths):
-        head = f"p {idx} {path.sample_count}\n"
+        yield f"p {idx} {path.sample_count}\n".encode("ascii")
         for block in np.split(path.points, range(_TEXT_ROWS, path.sample_count, _TEXT_ROWS)):
-            yield rows(head, line, block)
-            head = ""
+            run = (block.view(np.int64) == block[:1].view(np.int64)).all()  # bitwise: -0.0 is not 0.0
+            yield _float_text(block[0], seps).tobytes() * len(block) if run else _float_text(block, seps)
 
 
 def serialize_gesture(gesture: Gesture) -> str:
@@ -377,7 +416,7 @@ def serialize_gesture(gesture: Gesture) -> str:
 
     Coordinates are written as repr(float), so parsing is exact.
     """
-    return "".join(text() for _weight, text in _gesture_text(gesture))
+    return b"".join(_gesture_text(gesture)).decode("ascii")
 
 
 def parse_gesture(text: str) -> Gesture:
@@ -417,8 +456,7 @@ def parse_gesture(text: str) -> Gesture:
             lineno, row = take(tag)
             if rows and len(row) != len(rows[0]):
                 raise GestureFormatError(
-                    f"line {lineno}: {what} dimension {len(row)} differs from {len(rows[0])}"
-                )
+                    f"line {lineno}: {what} dimension {len(row)} differs from {len(rows[0])}")
             rows.append(row)
         return rows
 
@@ -430,10 +468,8 @@ def parse_gesture(text: str) -> Gesture:
     for expected_idx in range(arrow_count):
         lineno, (idx, count) = take("p")
         if idx != expected_idx:
-            raise GestureFormatError(
-                f"line {lineno}: path blocks must appear in arrow order, "
-                f"expected index {expected_idx}, got {idx}"
-            )
+            raise GestureFormatError(f"line {lineno}: path blocks must appear in arrow order, "
+                                     f"expected index {expected_idx}, got {idx}")
         samples = take_rows("", count, "path sample")
         try:
             paths.append(SampledPath(points=np.array(samples, dtype=np.float64)))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import os
 import re
 from pathlib import Path
@@ -12,13 +13,17 @@ __all__ = ["write_ppm", "read_ppm"]
 
 
 def _write(*outputs) -> None:
-    """Write each (path, pieces) output in turn, its pieces bytes-like; refuse two
-    outputs at one path.  A file opens once its first piece exists.  Any later
+    """Write each (path, pieces) output in turn, its pieces bytes-like.  Before any
+    piece, refuse two outputs at one path, and an output whose directory does not
+    exist, as open would.  A file opens once its first piece exists.  Any later
     failure removes each file this call opened that is a regular file and not a
     symlink (so never /dev/stdout), then closes the failed output's pieces."""
     paths = [os.path.abspath(path) for path, _pieces in outputs]
     if len(set(paths)) < len(paths):
         raise ValueError(f"two outputs name the same path {max(paths, key=paths.count)}")
+    for (path, _pieces), full in zip(outputs, paths):
+        if not os.path.exists(os.path.dirname(full)):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), os.fspath(path))
     opened = []
     try:
         for path, pieces in outputs:

@@ -279,6 +279,16 @@ def gesture_text(vertex_count: int, arrows, vertex_points, paths) -> str:
     return "\n".join(out) + "\n"
 
 
+def envelope_gesture_text(rgb, sustain_level: float, samples: int) -> str:
+    """envelope-transfer's gesture text, one repr per coordinate: the ADSR
+    levels 0, 1, s, s, 0 times the base color at the five vertices, and each
+    stage the straight line between its levels, sampled at samples points."""
+    levels = [0.0, 1.0, sustain_level, sustain_level, 0.0]
+    base = np.array(rgb, dtype=np.float64)
+    paths = [np.linspace(levels[i], levels[i + 1], samples)[:, None] * base for i in range(4)]
+    return gesture_text(5, [(0, 1), (1, 2), (2, 3), (3, 4)], np.array(levels)[:, None] * base, paths)
+
+
 def envelope_strip(
     times, levels, rgb, width: int = 512, height: int = 32
 ) -> np.ndarray:

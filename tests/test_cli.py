@@ -6,7 +6,6 @@ import os
 import re
 import subprocess
 import sys
-import tempfile
 import threading
 import tracemalloc
 import warnings
@@ -18,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import adsr_level, envelope_strip
+from oracles import adsr_level, envelope_gesture_text, envelope_strip
 from timbrecolor import cli, gesture, synth
 from timbrecolor.cli import (
     SQUARE_SIZE,
@@ -1013,9 +1012,8 @@ class TestEnvelopeTransferCommand:
 
 
 class TestGestureWriter:
-    """envelope-transfer writes its gesture text in two processes once the text's
-    total weight passes cli._FORK_WEIGHT (3 * 4096): a forked child formats the
-    pieces past half the total weight, this process the rest."""
+    """envelope-transfer writes its gesture text one block of gesture._TEXT_ROWS
+    lines at a time; the file equals the text written one repr per coordinate."""
 
     @staticmethod
     def run(tmp_path, samples, sustain_level="0.37", color="3b7fc2"):
@@ -1029,80 +1027,28 @@ class TestGestureWriter:
 
     @staticmethod
     def expected(samples, sustain_level="0.37", color="3b7fc2"):
-        scale = np.array([int(color[i : i + 2], 16) for i in (0, 2, 4)], dtype=np.float64)
-        envelope = gesture.adsr_gesture(1.0, float(sustain_level), [0.05, 0.15, 0.4, 0.3], samples)
-        colorized = gesture._map_rows(lambda pts, _label: pts[:, 1:2] * scale, envelope)
-        return gesture.serialize_gesture(colorized).encode("ascii")
-
-    @pytest.fixture
-    def forks(self, monkeypatch, tmp_path):
-        """The os.fork calls, made with the temporary directory in tmp_path/tmp."""
-        calls, fork = [], os.fork
-        monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
-        (tmp_path / "tmp").mkdir()
-        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
-        return calls
-
-    @staticmethod
-    def assert_no_child_and_no_temporary_file(tmp_path):
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-        assert list((tmp_path / "tmp").iterdir()) == []
+        rgb = [int(color[i : i + 2], 16) for i in (0, 2, 4)]
+        return envelope_gesture_text(rgb, float(sustain_level), samples).encode("ascii")
 
     @pytest.mark.parametrize(
-        "samples, sustain_level, color, forked",
+        "samples, sustain_level, color",
         [
-            (16, "0.37", "3b7fc2", []),  # the default size: weight 54, one process
-            (4096, "0.37", "3b7fc2", [1]),  # one whole block per path: weight 12 294
-            (4097, "0.37", "3b7fc2", [1]),  # a one-line block after each whole one
-            (100_000, "0.37", "3b7fc2", [1]),  # the cut inside the decay, 25 blocks a path
-            (3 * 4096 + 1, "1.0", "3b7fc2", [1]),  # the cut inside the constant decay
-            (5000, "0.37", "000000", []),  # every piece a constant run of weight 1: 9 in all
+            (16, "0.37", "3b7fc2"),  # the default size: one short block per path
+            (gesture._TEXT_ROWS, "0.37", "3b7fc2"),  # one whole block per path
+            (gesture._TEXT_ROWS + 1, "0.37", "3b7fc2"),  # a one-line block after the whole one
+            (4096, "0.37", "3b7fc2"),
+            (4097, "0.37", "3b7fc2"),
+            (100_000, "0.37", "3b7fc2"),
+            (3 * 4096 + 1, "1.0", "3b7fc2"),  # a constant decay, run after run
+            (5000, "0.37", "000000"),  # all black: every block a constant run
         ],
     )
-    def test_file_equals_serialize_gesture_at_the_split_edges(
-        self, tmp_path, forks, samples, sustain_level, color, forked
+    def test_file_equals_the_text_written_one_repr_per_coordinate(
+        self, tmp_path, samples, sustain_level, color
     ):
         code, out = self.run(tmp_path, samples, sustain_level, color)
         assert code == 0
-        assert forks == forked
         assert out.read_bytes() == self.expected(samples, sustain_level, color)
-        self.assert_no_child_and_no_temporary_file(tmp_path)
-
-    @pytest.mark.parametrize("samples", [16, 4097])
-    def test_without_fork_one_process_writes_the_same_bytes(self, tmp_path, monkeypatch, samples):
-        monkeypatch.delattr(os, "fork")
-        code, out = self.run(tmp_path, samples)
-        assert code == 0
-        assert out.read_bytes() == self.expected(samples)
-
-    def test_a_failing_child_is_one_error_line(self, tmp_path, forks, monkeypatch, capsys):
-        def with_a_failing_last_piece(g):
-            yield from gesture._gesture_text(g)
-            yield 1, lambda: "%r" % (1 / 0,)
-
-        monkeypatch.setattr(cli, "_gesture_text", with_a_failing_last_piece)
-        code, out = self.run(tmp_path, 4097)
-        assert (code, forks) == (2, [1])
-        assert capsys.readouterr().err == (
-            f"error: {out}: the process formatting its second half exited with 1\n"
-        )
-        assert not out.exists()  # the half this process wrote is removed
-        self.assert_no_child_and_no_temporary_file(tmp_path)
-
-    def test_a_failing_parent_still_reaps_the_child(self, tmp_path, forks, monkeypatch, capsys):
-        def with_a_failing_first_piece(g):
-            def fail():
-                raise ValueError("boom")
-
-            yield 1, fail
-            yield from gesture._gesture_text(g)
-
-        monkeypatch.setattr(cli, "_gesture_text", with_a_failing_first_piece)
-        assert self.run(tmp_path, 4097)[0] == 2
-        assert forks == [1]
-        assert capsys.readouterr().err == "error: boom\n"
-        self.assert_no_child_and_no_temporary_file(tmp_path)
 
 
 # each command's small settings and its outputs as (flag, file name), in the order it writes them
@@ -1112,7 +1058,7 @@ WRITERS = {
         [("--out-wav", "p.wav"), ("--out-csv", "p.csv"), ("--out-img", "p.ppm"), ("--out-log", "p.log")],
     ),
     "wav2color": (["--fundamental", "440"], [("--out-csv", "w.csv"), ("--out-img", "w.ppm")]),
-    "envelope-transfer": (  # past cli._FORK_WEIGHT, so the gesture text is written by two processes
+    "envelope-transfer": (  # past gesture._TEXT_ROWS, so the gesture text is written in blocks
         ["--color", "3b7fc2", "--samples-per-segment", "4097"],
         [("--out-gesture", "g.txt"), ("--out-img", "s.ppm")],
     ),
@@ -1122,7 +1068,7 @@ FAULT_ROWS = [
     (command, name, fault)
     for command, (_settings, outputs) in WRITERS.items()
     for _flag, name in outputs
-    for fault in FAULTS + (["child"] if name == "g.txt" else [])
+    for fault in FAULTS
 ]
 
 
@@ -1157,9 +1103,10 @@ class FaultyFile:
 
 class TestFaultTable:
     """Each command, each of its outputs, each fault: the command exits 2 with one
-    error line (or the interrupt propagates), and leaves no file it created, no
-    child process and no temporary file.  A file at an output path that the
-    command never opened, the outputs after the failing one, stays untouched."""
+    error line (or the interrupt propagates), and leaves no file it created.  A
+    file at an output path that the command never opened stays untouched: the
+    outputs after the failing one, and every other output when a directory is
+    missing, which is refused before any output is opened."""
 
     @pytest.mark.parametrize("command, name, fault", FAULT_ROWS, ids=["-".join(row) for row in FAULT_ROWS])
     def test_a_failed_command_leaves_nothing_it_wrote(
@@ -1169,12 +1116,12 @@ class TestFaultTable:
         names = [n for _flag, n in outputs]
         out = tmp_path / "out"
         out.mkdir()
-        (tmp_path / "tmp").mkdir()
-        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
         paths = {n: out / n for n in names}
         if fault == "missing-directory":
             paths[name] = tmp_path / "missing" / name
-        never_opened = names[names.index(name) + 1 :]
+            never_opened = [n for n in names if n != name]
+        else:
+            never_opened = names[names.index(name) + 1 :]
         for n in never_opened:
             paths[n].write_bytes(b"before the run: " + n.encode())
         if fault in ("mid-write", "close", "interrupt"):
@@ -1185,13 +1132,6 @@ class TestFaultTable:
                 return FaultyFile(fh, fault) if Path(path) == paths[name] else fh
 
             monkeypatch.setattr(builtins, "open", faulty_open)
-        if fault == "child":
-
-            def with_a_failing_last_piece(g):
-                yield from gesture._gesture_text(g)
-                yield 1, lambda: "%r" % (1 / 0,)
-
-            monkeypatch.setattr(cli, "_gesture_text", with_a_failing_last_piece)
         argv = [command, *settings, *(arg for flag, n in outputs for arg in (flag, str(paths[n])))]
         if command == "wav2color":
             argv += ["--in", str(tone)]
@@ -1205,20 +1145,38 @@ class TestFaultTable:
             stdout, stderr = capsys.readouterr()
             assert stdout == ""
             assert re.fullmatch(r"error: [^\n]+\n", stderr), stderr
+        if fault == "missing-directory":
+            assert stderr == f"error: [Errno 2] No such file or directory: '{paths[name]}'\n"
         assert sorted(p.name for p in out.iterdir()) == sorted(never_opened)
         for n in never_opened:
             assert paths[n].read_bytes() == b"before the run: " + n.encode()
         assert not (tmp_path / "missing").exists()
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-        assert list((tmp_path / "tmp").iterdir()) == []
 
     def test_the_table_covers_every_output_of_every_command(self):
         options = {name: specs for name, _help, specs, _run in cli._COMMANDS}
         for command, (_settings, outputs) in WRITERS.items():
             flags = sorted(f"--{opt.name}" for opt in options[command] if opt.name.startswith("out-"))
             assert sorted(flag for flag, _name in outputs) == flags
-        assert len(FAULT_ROWS) == 8 * 4 + 1
+        assert len(FAULT_ROWS) == 8 * 4
+
+    def test_a_missing_directory_is_refused_before_the_render(self, tmp_path, monkeypatch, capsys):
+        def never_rendered(*args):
+            total, _blocks = synth._fm_path_blocks(*args)
+
+            def blocks():  # fails at its first block
+                raise AssertionError("the sweep was rendered")
+                yield
+
+            return total, blocks()
+
+        monkeypatch.setattr(cli, "_fm_path_blocks", never_rendered)
+        monkeypatch.chdir(tmp_path)
+        Path("fm_path.wav").write_bytes(b"an earlier run")
+        missing = str(tmp_path / "missing" / "x.csv")
+        assert main(["fm-path", "--i-end", "1.0", "--out-csv", missing]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+        assert os.listdir(tmp_path) == ["fm_path.wav"]
+        assert Path("fm_path.wav").read_bytes() == b"an earlier run"
 
 
 class TestOutputsAtOnePath:

@@ -512,7 +512,8 @@ class TestRowForm:
         assert main(argv) == 0
         scale = np.array([0x3B, 0x7F, 0xC2], dtype=np.float64)
         envelope = adsr_gesture(1.0, 0.37, [0.05, 0.15, 0.4, 0.3], samples)
-        want = serialize_gesture(map_gesture(lambda q: q[1] * scale, envelope))
+        g = map_gesture(lambda q: q[1] * scale, envelope)
+        want = gesture_text(5, g.digraph.arrows, g.vertex_points, [path.points for path in g.arrow_paths])
         assert out.read_bytes() == want.encode("ascii")
 
 

@@ -77,6 +77,27 @@ class TestWritePPM:
         assert not path.exists()
 
 
+class TestWrite:
+    def test_a_missing_directory_is_refused_before_any_piece_is_taken(self, tmp_path):
+        taken = []
+
+        def pieces(name):
+            taken.append(name)
+            yield b"written"
+
+        (tmp_path / "a.txt").write_bytes(b"before the call")
+        missing = tmp_path / "missing" / "b.txt"
+        with pytest.raises(FileNotFoundError) as info:
+            ppm._write((tmp_path / "a.txt", pieces("a")), (missing, pieces("b")))
+        assert str(info.value) == f"[Errno 2] No such file or directory: '{missing}'"
+        with pytest.raises(FileNotFoundError) as opened:
+            open(missing, "wb")
+        assert str(info.value) == str(opened.value)
+        assert taken == []
+        assert list(tmp_path.iterdir()) == [tmp_path / "a.txt"]
+        assert (tmp_path / "a.txt").read_bytes() == b"before the call"
+
+
 PIXELS = bytes(range(18))  # a 3 x 2 image
 
 

@@ -129,6 +129,8 @@ def cases(inputs: Path) -> list[dict]:
     found.append(_case("fm-path defaults", ["fm-path"]))
     argv = ["fm-path", "--fc=100.0", "--fm=137.3", "--i-end=1000", "--i-step=50", "--seg-dur=0.001"]
     found.append(_case("fm-path to index 1000: rows of up to 2149 lines", argv))
+    argv = ["fm-path", "--rate", "8000", "--seg-dur", "0.000125", "--i-end", "0.2", "--i-step", "1e-05"]
+    found.append(_case("fm-path over 20001 grid values: 1251 bands, the last one color and 15 black squares", argv))
     argv = ["fm-path", "--i-start=1e-300", "--i-end=1", "--i-step=0.25", "--seg-dur=0.001"]
     found.append(_case("fm-path from index 1e-300: a Bessel column below 2**-600", argv))
     argv = ["fm-path", "--i-end", "2000", "--i-step", "1", "--seg-dur", "0.001"]

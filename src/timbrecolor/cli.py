@@ -176,9 +176,9 @@ def _grid_count(start: float, end: float, step: float) -> int:
     return math.floor(steps + 1e-9) + 1
 
 
-def build_index_grid(start: float, end: float, step: float) -> list[float]:
+def build_index_grid(start: float, end: float, step: float) -> np.ndarray:
     """Uniform grid start, start+step, ..., the last point at most end."""
-    return [start + k * step for k in range(_grid_count(start, end, step))]
+    return start + np.arange(_grid_count(start, end, step)) * step
 
 
 def _ascii(*texts) -> Iterator[bytes]:
@@ -207,14 +207,13 @@ def _fm_path_rows(
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
-def _squares_image(rgb: np.ndarray) -> np.ndarray:
-    """One SQUARE_SIZE square per color, SQUARES_PER_ROW to a row, black fill."""
-    count = len(rgb)
-    cols = min(SQUARES_PER_ROW, count)
-    rows = -(-count // SQUARES_PER_ROW)
-    cells = np.zeros((rows * cols, 3), dtype=np.uint8)
-    cells[:count] = rgb
-    return cells.reshape(rows, cols, 3).repeat(SQUARE_SIZE, 0).repeat(SQUARE_SIZE, 1)
+def _squares_ppm(rgb: np.ndarray):
+    """PPM pieces of one SQUARE_SIZE square per color, SQUARES_PER_ROW to a row, black fill."""
+    cols = min(SQUARES_PER_ROW, len(rgb))
+    cells = np.zeros((-(-len(rgb) // cols), cols, 3), dtype=np.uint8)
+    cells.reshape(-1, 3)[: len(rgb)] = rgb
+    bands = (row.repeat(SQUARE_SIZE, 0)[None].repeat(SQUARE_SIZE, 0) for row in cells)  # a band per row
+    return _ppm_pieces(bands, cols * SQUARE_SIZE, len(cells) * SQUARE_SIZE)
 
 
 def _adjacent_distances(rgb: np.ndarray) -> np.ndarray:
@@ -256,20 +255,20 @@ def _run_fm_path(s: dict[str, Any]) -> int:
     _check_wav_rate(s["rate"])
     _validate_arguments(grid)
     xyz, rgb, orders, weights = _fm_path_rows(s["fc"], s["fm"], grid, octave, standard_observer())
-    log_path = s["out_log"] or str(Path(s["out_csv"]).with_suffix(".log"))
+    log_path = s["out_log"] or s["out_csv"].removesuffix(Path(s["out_csv"]).suffix) + ".log"
     settings = "".join(f"{key}: {value}\n" for key, value in s.items() if not key.startswith("out_"))
     head = (f"command: fm-path\n{settings}grid_rows: {len(grid)}\nsegment_samples: {seg}\n"
             f"total_samples: {total}\nduration_sec: {total / s['rate']:.6f}\n")  # settings in option order
     tail = (f"max_adjacent_srgb_distance: {np.max(_adjacent_distances(rgb), initial=0.0):.6f}\n"
             f"full_span_srgb_distance: {_full_span_distance(rgb):.6f}\n")
     csv = (f"{index:.6f},{x:.6f},{y:.6f},{z:.6f},{r},{g},{b}\n"
-           for index, (x, y, z), (r, g, b) in zip(grid, xyz.tolist(), rgb.tolist()))
+           for index, (x, y, z), (r, g, b) in zip(grid.tolist(), xyz.tolist(), rgb.tolist()))
     log = (f"I={index:.6f} N={order} weight_sum={weight:.9f}\n"
-           for index, order, weight in zip(grid, orders.tolist(), weights.tolist()))
+           for index, order, weight in zip(grid.tolist(), orders.tolist(), weights.tolist()))
     _write(
         (s["out_wav"], _wav_pieces(s["rate"], total, blocks)),
         (s["out_csv"], _ascii(["I,X,Y,Z,R,G,B\n"], csv)),
-        (s["out_img"], _ppm_pieces(_squares_image(rgb))),
+        (s["out_img"], _squares_ppm(rgb)),
         (log_path, _ascii([head], log, [tail])),
     )
     print(f"fm-path: {len(grid)} colors, {total} samples ({total / s['rate']:.3f} s) -> "
@@ -290,7 +289,7 @@ def _run_wav2color(s: dict[str, Any]) -> int:
     swatch = np.full((SWATCH_SIZE, SWATCH_SIZE, 3), (srgb.r, srgb.g, srgb.b), dtype=np.uint8)
     _write(
         (s["out_csv"], _ascii(["frequency,amplitude,phase\n"], lines, [color])),
-        (s["out_img"], _ppm_pieces(swatch)),
+        (s["out_img"], _ppm_pieces([swatch], SWATCH_SIZE, SWATCH_SIZE)),
     )
     print(
         f"wav2color: {len(spectrum.frequencies)} lines -> "
@@ -327,7 +326,7 @@ def _run_envelope_transfer(s: dict[str, Any]) -> int:
     row = np.floor(amps[:, None] * scale + 0.5).astype(np.uint8)
     _write(
         (s["out_gesture"], _gesture_text(colorized)),
-        (s["out_img"], _ppm_pieces(np.repeat(row[None], STRIP_HEIGHT, axis=0))),
+        (s["out_img"], _ppm_pieces([row] * STRIP_HEIGHT, STRIP_WIDTH, STRIP_HEIGHT)),
     )
     print(
         f"envelope-transfer: {total:.3f} s envelope in "

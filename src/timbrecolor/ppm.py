@@ -13,48 +13,52 @@ __all__ = ["write_ppm", "read_ppm"]
 
 
 def _write(*outputs) -> None:
-    """Write each (path, pieces) output in turn, its pieces bytes-like.  Before any
-    piece, refuse two outputs at one path, and an output whose directory does not
-    exist, as open would.  A file opens once its first piece exists.  Any later
-    failure removes each file this call opened that is a regular file and not a
-    symlink (so never /dev/stdout), then closes the failed output's pieces."""
+    """Write each (path, pieces) output in turn, its pieces a generator of bytes-like objects.
+    Before any piece, refuse two outputs at one path, and with open's own error a path that
+    open refuses: empty, a directory, or under a missing directory or a file.  A file opens
+    once its first piece exists.  Any later failure removes each file this call opened that is
+    a regular file and not a symlink (so never /dev/stdout), and closes the failed pieces."""
     paths = [os.path.abspath(path) for path, _pieces in outputs]
     if len(set(paths)) < len(paths):
         raise ValueError(f"two outputs name the same path {max(paths, key=paths.count)}")
-    for (path, _pieces), full in zip(outputs, paths):
-        if not os.path.exists(os.path.dirname(full)):
-            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), os.fspath(path))
+    for name in (os.fspath(path) for path, _pieces in outputs):
+        try:  # the trailing slash makes a directory that is a file fail with ENOTDIR
+            os.stat(os.path.join(os.path.dirname(name) or ".", ""))
+            code = errno.EISDIR if os.path.isdir(name) else 0 if name else errno.ENOENT
+        except OSError as exc:
+            code = exc.errno
+        if code:
+            raise OSError(code, os.strerror(code), name)
     opened = []
     try:
         for path, pieces in outputs:
-            pieces = iter(pieces)
             first = next(pieces, b"")
             with open(path, "wb") as fh:  # inside the try: a failed close is a failure too
                 opened.append(path)
-                fh.write(first)  # before the next piece may reuse first's buffer
+                fh.write(first)
                 fh.writelines(pieces)
     except BaseException:
         for path in opened:
             if os.path.isfile(path) and not os.path.islink(path):
                 os.unlink(path)
-        if hasattr(pieces, "close"):  # a generator's finally clauses run now, not at collection
-            pieces.close()
+        pieces.close()  # the generator's finally clauses run now, not at collection
         raise
 
 
-def _ppm_pieces(pixels: np.ndarray) -> tuple:
-    """The header and the pixel buffer itself, not a bytes copy, of (H, W, 3) uint8 pixels."""
+def _ppm_pieces(bands, width: int, height: int):
+    """A width x height P6 header, then the bands: C-contiguous uint8 pixel rows, each its own buffer."""
+    yield f"P6\n{width} {height}\n255\n".encode("ascii")
+    yield from bands
+
+
+def write_ppm(path: str | Path, pixels: np.ndarray) -> None:
+    """Write an (H, W, 3) uint8 array as binary PPM."""
     arr = np.asarray(pixels)
     if arr.ndim != 3 or arr.shape[2] != 3:
         raise ValueError(f"pixels must have shape (H, W, 3), got {arr.shape}")
     if arr.dtype != np.uint8:
         raise ValueError(f"pixels must be uint8, got {arr.dtype}")
-    return f"P6\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii"), np.ascontiguousarray(arr)
-
-
-def write_ppm(path: str | Path, pixels: np.ndarray) -> None:
-    """Write an (H, W, 3) uint8 array as binary PPM."""
-    _write((path, _ppm_pieces(pixels)))
+    _write((path, _ppm_pieces([np.ascontiguousarray(arr)], arr.shape[1], arr.shape[0])))
 
 
 def read_ppm(path: str | Path) -> np.ndarray:

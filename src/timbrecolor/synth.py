@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 AMPLITUDE_FLOOR = 1e-6
-# caps fm-path's time and disk; its audio streams in blocks, but its image grows with the grid
+# caps fm-path's time and disk; its audio and its image stream in blocks
 MAX_RENDER_SAMPLES = 100_000_000
 _BLOCK_SAMPLES = 2**16  # samples per block: fm-path audio, the WAV reader, the fold
 _CHUNK_SAMPLES = 2**14  # per FM evaluation in fm-path's threads; 2**12 lost their gain to the GIL
@@ -213,6 +213,11 @@ def _gather(count: int, blocks) -> np.ndarray:
     return out
 
 
+def _views(samples: np.ndarray):
+    """samples as views of _BLOCK_SAMPLES (the last may be shorter): the blocks _gather joins."""
+    return (samples[k : k + _BLOCK_SAMPLES] for k in range(0, len(samples), _BLOCK_SAMPLES))
+
+
 def _analysis_window(
     sample_count: int, fundamental_hz: float, rate: int
 ) -> tuple[int, int]:
@@ -263,8 +268,7 @@ def analyze_harmonics(
     would bias the phase of the top harmonics.
     """
     samples = wave.samples
-    blocks = [samples[k : k + _BLOCK_SAMPLES] for k in range(0, len(samples), _BLOCK_SAMPLES)]  # views
-    return _analyze_blocks(wave.sample_rate, len(samples), blocks, fundamental_hz, max_harmonic)
+    return _analyze_blocks(wave.sample_rate, len(samples), _views(samples), fundamental_hz, max_harmonic)
 
 
 def _fold(blocks, length: int, cycle: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .ppm import _write
-from .synth import _BLOCK_SAMPLES, SampledWave, _gather
+from .synth import _BLOCK_SAMPLES, SampledWave, _gather, _views
 
 __all__ = ["WavFormatError", "write_wav", "read_wav"]
 
@@ -33,21 +33,17 @@ class WavFormatError(ValueError):
 
 def write_wav(wave: SampledWave, path: str | Path) -> None:
     """Write samples as 16-bit PCM mono; inputs must lie in [-1, 1]."""
-    _write((path, _wav_pieces(wave.sample_rate, len(wave.samples), [wave.samples])))
+    _write((path, _wav_pieces(wave.sample_rate, len(wave.samples), _views(wave.samples))))
 
 
 def _pcm16(blocks):
-    """Check and quantize float64 blocks in buffers reused from block to block."""
-    scratch, pcm = np.empty(0), np.empty(0, dtype="<i2")
+    """Check and quantize float64 blocks of at most _BLOCK_SAMPLES, each into a fresh int16 array."""
+    scratch = np.empty(_BLOCK_SAMPLES)  # reused: fresh float64 temporaries fault their pages in again
     for block in blocks:
-        if len(block) > len(scratch):
-            scratch, pcm = np.empty(len(block)), np.empty(len(block), dtype="<i2")
-        x, out = scratch[: len(block)], pcm[: len(block)]
+        x = scratch[: len(block)]
         if not np.all(np.abs(block, out=x) <= 1.0):  # a NaN fails the comparison too
             raise ValueError("samples exceed [-1, 1]; normalize before writing")
-        np.add(np.multiply(block, _SCALE, out=x), 0.5, out=x)
-        np.copyto(out, np.floor(x, out=x), casting="unsafe")  # astype's C cast
-        yield memoryview(out)
+        yield np.floor(np.add(np.multiply(block, _SCALE, out=x), 0.5, out=x), out=x).astype("<i2")
 
 
 def _check_wav_rate(rate: int) -> None:
@@ -142,17 +138,16 @@ def _scan(fh) -> tuple[int, int]:
 
 
 def _pcm16_blocks(fh, count: int):
-    """count samples via one int16 and one float64 buffer, reused block to block."""
-    raw = np.empty(min(count, _BLOCK_SAMPLES), dtype="<i2")
-    out = np.empty(len(raw))
+    """count samples: fresh bytes per block, divided into one float64 buffer reused block to block."""
+    out = np.empty(min(count, _BLOCK_SAMPLES))  # a fresh one per block would fault its pages in again
     for start in range(0, count, _BLOCK_SAMPLES):
         n = min(_BLOCK_SAMPLES, count - start)
-        got = fh.readinto(raw[:n])
-        if got != 2 * n:  # the file shrank after its header was read
+        raw = fh.read(2 * n)
+        if len(raw) != 2 * n:  # the file shrank after its header was read
             raise WavFormatError(
-                f"truncated 'data' chunk: read {2 * start + got} of {2 * count} bytes"
+                f"truncated 'data' chunk: read {2 * start + len(raw)} of {2 * count} bytes"
             )
-        yield np.divide(raw[:n], _SCALE, out=out[:n])
+        yield np.divide(np.frombuffer(raw, dtype="<i2"), _SCALE, out=out[:n])
 
 
 def read_wav(path: str | Path) -> SampledWave:

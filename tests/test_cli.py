@@ -1,6 +1,7 @@
 """Command line behavior: outputs, determinism, config handling."""
 
 import builtins
+import inspect
 import math
 import os
 import re
@@ -18,14 +19,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import adsr_level, envelope_gesture_text, envelope_strip
-from timbrecolor import cli, gesture, synth
+from timbrecolor import cli, gesture, ppm, synth
 from timbrecolor.cli import (
     SQUARE_SIZE,
     SQUARES_PER_ROW,
     _adjacent_distances,
     _fm_path_rows,
     _full_span_distance,
-    _squares_image,
+    _squares_ppm,
     build_index_grid,
     main,
 )
@@ -81,7 +82,7 @@ class TestIndexGrid:
         assert grid[-1] == pytest.approx(20.0, abs=1e-12)
 
     def test_single_point_grid(self):
-        assert build_index_grid(2.0, 2.0, 0.1) == [2.0]
+        assert build_index_grid(2.0, 2.0, 0.1).tolist() == [2.0]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -90,8 +91,8 @@ class TestIndexGrid:
             build_index_grid(1.0, 0.0, 0.1)
 
     def test_grid_stops_at_the_end(self):
-        assert build_index_grid(0.0, 1.0, 0.6) == [0.0, 0.6]
-        assert build_index_grid(0.0, 1.0, 0.25) == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert build_index_grid(0.0, 1.0, 0.6).tolist() == [0.0, 0.6]
+        assert build_index_grid(0.0, 1.0, 0.25).tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -229,9 +230,8 @@ class TestSquaresImage:
             r, c = divmod(n, SQUARES_PER_ROW)
             rows_px = slice(r * SQUARE_SIZE, (r + 1) * SQUARE_SIZE)
             want[rows_px, c * SQUARE_SIZE : (c + 1) * SQUARE_SIZE] = color
-        got = _squares_image(rgb)
-        assert got.dtype == np.uint8
-        assert np.array_equal(got, want)
+        header = f"P6\n{cols * SQUARE_SIZE} {rows * SQUARE_SIZE}\n255\n".encode("ascii")
+        assert b"".join(_squares_ppm(rgb)) == header + want.tobytes()
 
 
 class TestFMPathCommand:
@@ -387,6 +387,21 @@ class TestStreamedWav:
             tracemalloc.stop()
         assert read_wav(tmp_path / "p.wav").samples.size == 41 * 44100
         assert peak < whole / 4
+
+    def test_peak_memory_does_not_grow_with_the_grid(self, tmp_path):
+        # one sample per segment: the image, 3 KB a grid value, would dominate a whole-image writer
+        def peak(count):
+            tracemalloc.start()
+            try:
+                run_fm_path(tmp_path, "--rate", "8000", "--seg-dur", "0.000125", "--i-end", "0.2",
+                            "--i-step", repr(0.2 / (count - 1)))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = peak(1001), peak(4001)
+        assert len(read_ppm(tmp_path / "p.ppm")) == -(-4001 // 16) * 32
+        assert abs(long - short) < 10**6, (short, long)
 
     def test_carrier_above_nyquist_writes_no_wav(self, tmp_path, capsys):
         args = [
@@ -1063,7 +1078,13 @@ WRITERS = {
         [("--out-gesture", "g.txt"), ("--out-img", "s.ppm")],
     ),
 }
-FAULTS = ["missing-directory", "mid-write", "close", "interrupt"]
+# the paths open refuses, by fault: each is refused before any output's first piece
+REFUSED = {
+    "missing-directory": ("missing/{}", "[Errno 2] No such file or directory"),
+    "parent-is-a-file": ("afile/{}", "[Errno 20] Not a directory"),
+    "is-a-directory": ("adir", "[Errno 21] Is a directory"),
+}
+FAULTS = [*REFUSED, "mid-write", "close", "interrupt"]
 FAULT_ROWS = [
     (command, name, fault)
     for command, (_settings, outputs) in WRITERS.items()
@@ -1105,8 +1126,8 @@ class TestFaultTable:
     """Each command, each of its outputs, each fault: the command exits 2 with one
     error line (or the interrupt propagates), and leaves no file it created.  A
     file at an output path that the command never opened stays untouched: the
-    outputs after the failing one, and every other output when a directory is
-    missing, which is refused before any output is opened."""
+    outputs after the failing one, and every other output when open would
+    refuse a path, which is refused before any output's first piece is made."""
 
     @pytest.mark.parametrize("command, name, fault", FAULT_ROWS, ids=["-".join(row) for row in FAULT_ROWS])
     def test_a_failed_command_leaves_nothing_it_wrote(
@@ -1116,9 +1137,11 @@ class TestFaultTable:
         names = [n for _flag, n in outputs]
         out = tmp_path / "out"
         out.mkdir()
+        (tmp_path / "afile").write_bytes(b"a file")
+        (tmp_path / "adir").mkdir()
         paths = {n: out / n for n in names}
-        if fault == "missing-directory":
-            paths[name] = tmp_path / "missing" / name
+        if fault in REFUSED:
+            paths[name] = tmp_path / REFUSED[fault][0].format(name)
             never_opened = [n for n in names if n != name]
         else:
             never_opened = names[names.index(name) + 1 :]
@@ -1132,6 +1155,8 @@ class TestFaultTable:
                 return FaultyFile(fh, fault) if Path(path) == paths[name] else fh
 
             monkeypatch.setattr(builtins, "open", faulty_open)
+        given = []  # each output's pieces, as the command hands them to the writer
+        monkeypatch.setattr(cli, "_write", lambda *outputs: given.extend(outputs) or ppm._write(*outputs))
         argv = [command, *settings, *(arg for flag, n in outputs for arg in (flag, str(paths[n])))]
         if command == "wav2color":
             argv += ["--in", str(tone)]
@@ -1145,19 +1170,23 @@ class TestFaultTable:
             stdout, stderr = capsys.readouterr()
             assert stdout == ""
             assert re.fullmatch(r"error: [^\n]+\n", stderr), stderr
-        if fault == "missing-directory":
-            assert stderr == f"error: [Errno 2] No such file or directory: '{paths[name]}'\n"
+        if fault in REFUSED:
+            assert stderr == f"error: {REFUSED[fault][1]}: '{paths[name]}'\n"
+            # no piece made: the render and the gesture text never started
+            assert [inspect.getgeneratorstate(pieces) for _path, pieces in given] == ["GEN_CREATED"] * len(names)
         assert sorted(p.name for p in out.iterdir()) == sorted(never_opened)
         for n in never_opened:
             assert paths[n].read_bytes() == b"before the run: " + n.encode()
         assert not (tmp_path / "missing").exists()
+        assert (tmp_path / "afile").read_bytes() == b"a file"
+        assert list((tmp_path / "adir").iterdir()) == []
 
     def test_the_table_covers_every_output_of_every_command(self):
         options = {name: specs for name, _help, specs, _run in cli._COMMANDS}
         for command, (_settings, outputs) in WRITERS.items():
             flags = sorted(f"--{opt.name}" for opt in options[command] if opt.name.startswith("out-"))
             assert sorted(flag for flag, _name in outputs) == flags
-        assert len(FAULT_ROWS) == 8 * 4
+        assert len(FAULT_ROWS) == 8 * 6
 
     def test_a_missing_directory_is_refused_before_the_render(self, tmp_path, monkeypatch, capsys):
         def never_rendered(*args):
@@ -1177,6 +1206,34 @@ class TestFaultTable:
         assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
         assert os.listdir(tmp_path) == ["fm_path.wav"]
         assert Path("fm_path.wav").read_bytes() == b"an earlier run"
+
+    EARLIER = ["envelope_gesture.txt", "envelope_strip.ppm", "fm_path.csv", "fm_path.log", "fm_path.ppm", "fm_path.wav"]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fm-path", "--out-csv", "notadir/x.csv"], "[Errno 20] Not a directory: 'notadir/x.csv'"),
+            (["fm-path", "--out-csv", "adir"], "[Errno 21] Is a directory: 'adir'"),
+            (["fm-path", "--out-csv", ""], "[Errno 2] No such file or directory: ''"),  # its default log is .log
+            (["fm-path", "--out-img", ""], "[Errno 2] No such file or directory: ''"),
+            (["envelope-transfer", "--color", "808080", "--out-img", "."], "[Errno 21] Is a directory: '.'"),
+        ],
+        ids=["fm-path-csv-under-a-file", "fm-path-csv-a-directory", "fm-path-csv-empty", "fm-path-img-empty",
+             "envelope-transfer-img-dot"],
+    )
+    def test_a_path_open_refuses_leaves_an_earlier_run_in_place(self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        Path("notadir").write_bytes(b"a file")
+        Path("adir").mkdir()
+        for name in self.EARLIER:
+            Path(name).write_bytes(b"an earlier run")
+        small = ["--i-end", "1", "--seg-dur", "0.01"] if argv[0] == "fm-path" else []
+        assert main([*argv, *small]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert sorted(os.listdir(tmp_path)) == sorted([*self.EARLIER, "adir", "notadir"])
+        assert os.listdir("adir") == []
+        for name in self.EARLIER:
+            assert Path(name).read_bytes() == b"an earlier run"
 
 
 class TestOutputsAtOnePath:

@@ -1,5 +1,6 @@
 """Binary PPM images: exact bytes, and no copy of the pixels on the way out."""
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -96,6 +97,43 @@ class TestWrite:
         assert taken == []
         assert list(tmp_path.iterdir()) == [tmp_path / "a.txt"]
         assert (tmp_path / "a.txt").read_bytes() == b"before the call"
+
+    @pytest.mark.parametrize(
+        "name, error",
+        [
+            ("missing/b.txt", FileNotFoundError),
+            ("afile/b.txt", NotADirectoryError),
+            ("afile/sub/b.txt", NotADirectoryError),
+            ("adir", IsADirectoryError),
+            (".", IsADirectoryError),
+            ("", FileNotFoundError),
+        ],
+        ids=["missing-directory", "parent-is-a-file", "grandparent-is-a-file", "directory", "dot", "empty"],
+    )
+    def test_a_path_open_refuses_is_refused_with_its_error_before_any_piece(
+        self, tmp_path, monkeypatch, name, error
+    ):
+        taken = []
+
+        def pieces(label):
+            taken.append(label)
+            yield b"written"
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_bytes(b"a file")
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "a.txt").write_bytes(b"before the call")
+        with pytest.raises(OSError) as info:
+            ppm._write(("a.txt", pieces("a")), (name, pieces("b")))
+        with pytest.raises(OSError) as opened:
+            open(name, "wb")
+        assert type(info.value) is type(opened.value) is error
+        assert str(info.value) == str(opened.value)
+        assert taken == []
+        assert sorted(os.listdir(tmp_path)) == ["a.txt", "adir", "afile"]
+        assert (tmp_path / "a.txt").read_bytes() == b"before the call"
+        assert (tmp_path / "afile").read_bytes() == b"a file"
+        assert os.listdir(tmp_path / "adir") == []
 
 
 PIXELS = bytes(range(18))  # a 3 x 2 image

@@ -168,7 +168,7 @@ class TestBlockWriter:
 
 
 def one_shot_pcm16(block):
-    """The encoder with fresh arrays per block: the reference for the reused buffers."""
+    """The encoder with fresh arrays per block: the reference for the reused scratch buffer."""
     return np.floor(block * 32767.0 + 0.5).astype("<i2").tobytes()
 
 
@@ -194,8 +194,8 @@ class TestReusedBuffers:
     @pytest.mark.parametrize(
         "sizes",
         [
-            [5000, 7, 5000],  # long, short, long: the short block reuses the long buffers
-            [7, 5000, 7, 6000],  # the buffers grow twice
+            [5000, 7, 5000],  # long, short, long: the short block reuses the long one's scratch
+            [7, 5000, 7, 6000],
             [1],
             [1, 1, 1],
             [0, 4, 0, 3],
@@ -213,6 +213,8 @@ class TestReusedBuffers:
         raw = (tmp_path / "w.wav").read_bytes()
         assert len(raw) == 44 + 2 * count
         assert raw[44:] == b"".join(map(one_shot_pcm16, blocks))
+        pieces = list(wavefile._pcm16(blocks))  # each piece its own array, which no later block overwrites
+        assert b"".join(pieces) == raw[44:]
 
     def test_edge_values_encode_as_before(self, tmp_path):
         write_wav(SampledWave(sample_rate=8000, samples=EDGE_VALUES), tmp_path / "e.wav")
@@ -224,6 +226,14 @@ class TestReusedBuffers:
         wave = SampledWave(sample_rate=44100, samples=np.linspace(-1.0, 1.0, 10**6))
         peak = traced_peak(lambda: write_wav(wave, tmp_path / "m.wav"))
         assert peak < 13 * 10**6
+
+    def test_write_peak_memory_does_not_grow_with_the_wave(self, tmp_path):
+        def peak(count):
+            wave = SampledWave(sample_rate=44100, samples=np.linspace(-1.0, 1.0, count))
+            return traced_peak(lambda: write_wav(wave, tmp_path / "m.wav"))
+
+        short, long = peak(10**6), peak(4 * 10**6)
+        assert abs(long - short) < 0.1 * short, (short, long)
 
     def test_read_peak_memory_per_sample(self, tmp_path):
         count = 60 * 44100

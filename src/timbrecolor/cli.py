@@ -261,10 +261,11 @@ def _run_fm_path(s: dict[str, Any]) -> int:
             f"total_samples: {total}\nduration_sec: {total / s['rate']:.6f}\n")  # settings in option order
     tail = (f"max_adjacent_srgb_distance: {np.max(_adjacent_distances(rgb), initial=0.0):.6f}\n"
             f"full_span_srgb_distance: {_full_span_distance(rgb):.6f}\n")
+    indices = grid.tolist()  # one list for both texts: a generator builds its first iterable at once
     csv = (f"{index:.6f},{x:.6f},{y:.6f},{z:.6f},{r},{g},{b}\n"
-           for index, (x, y, z), (r, g, b) in zip(grid.tolist(), xyz.tolist(), rgb.tolist()))
+           for index, (x, y, z), (r, g, b) in zip(indices, xyz.tolist(), rgb.tolist()))
     log = (f"I={index:.6f} N={order} weight_sum={weight:.9f}\n"
-           for index, order, weight in zip(grid.tolist(), orders.tolist(), weights.tolist()))
+           for index, order, weight in zip(indices, orders.tolist(), weights.tolist()))
     _write(
         (s["out_wav"], _wav_pieces(s["rate"], total, blocks)),
         (s["out_csv"], _ascii(["I,X,Y,Z,R,G,B\n"], csv)),

@@ -22,13 +22,12 @@ def _write(*outputs) -> None:
     if len(set(paths)) < len(paths):
         raise ValueError(f"two outputs name the same path {max(paths, key=paths.count)}")
     for name in (os.fspath(path) for path, _pieces in outputs):
-        try:  # the trailing slash makes a directory that is a file fail with ENOTDIR
-            os.stat(os.path.join(os.path.dirname(name) or ".", ""))
-            code = errno.EISDIR if os.path.isdir(name) else 0 if name else errno.ENOENT
+        try:  # "" fails with ENOENT, and the trailing slash makes a directory that is a file fail with ENOTDIR
+            os.stat(os.path.join(os.path.dirname(name) or (name and "."), ""))
         except OSError as exc:
-            code = exc.errno
-        if code:
-            raise OSError(code, os.strerror(code), name)
+            raise OSError(exc.errno, exc.strerror, name) from None
+        if os.path.isdir(name):
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), name)
     opened = []
     try:
         for path, pieces in outputs:

@@ -32,17 +32,19 @@ class WavFormatError(ValueError):
 
 
 def write_wav(wave: SampledWave, path: str | Path) -> None:
-    """Write samples as 16-bit PCM mono; inputs must lie in [-1, 1]."""
-    _write((path, _wav_pieces(wave.sample_rate, len(wave.samples), _views(wave.samples))))
+    """Write samples as 16-bit PCM mono; inputs must lie in [-1, 1], checked before the path opens."""
+    if not (wave.samples.min(initial=0.0) >= -1.0 and wave.samples.max(initial=0.0) <= 1.0):  # a NaN fails too
+        raise ValueError("samples exceed [-1, 1]; normalize before writing")
+    _write((path, _wav_pieces(wave.sample_rate, len(wave.samples), [wave.samples])))
 
 
 def _pcm16(blocks):
-    """Check and quantize float64 blocks of at most _BLOCK_SAMPLES, each into a fresh int16 array."""
+    """Check and quantize float64 blocks of any length, each view of _BLOCK_SAMPLES into a fresh int16 array."""
     scratch = np.empty(_BLOCK_SAMPLES)  # reused: fresh float64 temporaries fault their pages in again
-    for block in blocks:
-        x = scratch[: len(block)]
-        if not np.all(np.abs(block, out=x) <= 1.0):  # a NaN fails the comparison too
+    for block in (view for whole in blocks for view in _views(whole)):
+        if not (block.min(initial=0.0) >= -1.0 and block.max(initial=0.0) <= 1.0):  # a NaN fails too
             raise ValueError("samples exceed [-1, 1]; normalize before writing")
+        x = scratch[: len(block)]
         yield np.floor(np.add(np.multiply(block, _SCALE, out=x), 0.5, out=x), out=x).astype("<i2")
 
 
@@ -52,19 +54,15 @@ def _check_wav_rate(rate: int) -> None:
 
 
 def _wav_pieces(rate: int, count: int, blocks):
-    """The pieces of a WAV file of count samples, given as float64 blocks: the
-    header and the first block come only once that block passes its check, so
-    _write leaves a file at the path as it was when the first block is bad."""
+    """The pieces of a WAV file of count samples, given as float64 blocks."""
     _check_wav_rate(rate)
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + 2 * count, b"WAVE", b"fmt ", 16,
         _PCM_FORMAT, _CHANNELS, rate, rate * _CHANNELS * (_BITS // 8),
         _CHANNELS * (_BITS // 8), _BITS, b"data", 2 * count,
     )
-    pieces = _pcm16(blocks)
-    first = next(pieces, b"")
-    yield from (header, first)
-    yield from pieces
+    yield header
+    yield from _pcm16(blocks)
 
 
 @contextlib.contextmanager

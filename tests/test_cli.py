@@ -1188,38 +1188,20 @@ class TestFaultTable:
             assert sorted(flag for flag, _name in outputs) == flags
         assert len(FAULT_ROWS) == 8 * 6
 
-    def test_a_missing_directory_is_refused_before_the_render(self, tmp_path, monkeypatch, capsys):
-        def never_rendered(*args):
-            total, _blocks = synth._fm_path_blocks(*args)
-
-            def blocks():  # fails at its first block
-                raise AssertionError("the sweep was rendered")
-                yield
-
-            return total, blocks()
-
-        monkeypatch.setattr(cli, "_fm_path_blocks", never_rendered)
-        monkeypatch.chdir(tmp_path)
-        Path("fm_path.wav").write_bytes(b"an earlier run")
-        missing = str(tmp_path / "missing" / "x.csv")
-        assert main(["fm-path", "--i-end", "1.0", "--out-csv", missing]) == 2
-        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
-        assert os.listdir(tmp_path) == ["fm_path.wav"]
-        assert Path("fm_path.wav").read_bytes() == b"an earlier run"
-
     EARLIER = ["envelope_gesture.txt", "envelope_strip.ppm", "fm_path.csv", "fm_path.log", "fm_path.ppm", "fm_path.wav"]
 
     @pytest.mark.parametrize(
         "argv, message",
         [
+            (["fm-path", "--out-csv", "missing/x.csv"], "[Errno 2] No such file or directory: 'missing/x.csv'"),
             (["fm-path", "--out-csv", "notadir/x.csv"], "[Errno 20] Not a directory: 'notadir/x.csv'"),
             (["fm-path", "--out-csv", "adir"], "[Errno 21] Is a directory: 'adir'"),
             (["fm-path", "--out-csv", ""], "[Errno 2] No such file or directory: ''"),  # its default log is .log
             (["fm-path", "--out-img", ""], "[Errno 2] No such file or directory: ''"),
             (["envelope-transfer", "--color", "808080", "--out-img", "."], "[Errno 21] Is a directory: '.'"),
         ],
-        ids=["fm-path-csv-under-a-file", "fm-path-csv-a-directory", "fm-path-csv-empty", "fm-path-img-empty",
-             "envelope-transfer-img-dot"],
+        ids=["fm-path-csv-missing-directory", "fm-path-csv-under-a-file", "fm-path-csv-a-directory",
+             "fm-path-csv-empty", "fm-path-img-empty", "envelope-transfer-img-dot"],
     )
     def test_a_path_open_refuses_leaves_an_earlier_run_in_place(self, tmp_path, monkeypatch, capsys, argv, message):
         monkeypatch.chdir(tmp_path)

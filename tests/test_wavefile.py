@@ -113,10 +113,13 @@ class TestBlockWriter:
         assert (tmp_path / "e.wav").stat().st_size == 44
         assert read_wav(tmp_path / "e.wav").samples.size == 0
 
-    def test_bad_samples_leave_an_existing_file_untouched(self, tmp_path):
+    @pytest.mark.parametrize("at", [1, 2**16, 3 * 2**16 + 5], ids=["first-block", "second-block", "last-block"])
+    def test_bad_samples_leave_an_existing_file_untouched(self, tmp_path, at):
         path = tmp_path / "keep.wav"
         path.write_bytes(b"previous contents")
-        wave = SampledWave(sample_rate=8000, samples=np.array([0.0, 1.5]))
+        samples = np.zeros(3 * 2**16 + 6)
+        samples[at] = 1.5
+        wave = SampledWave(sample_rate=8000, samples=samples)
         with pytest.raises(ValueError, match=r"^samples exceed \[-1, 1\]; normalize before writing$"):
             write_wav(wave, path)
         assert path.read_bytes() == b"previous contents"
@@ -200,6 +203,7 @@ class TestReusedBuffers:
             [1, 1, 1],
             [0, 4, 0, 3],
             [],
+            [2 * 2**16 + 3, 7],  # longer than one view: cut into views of 2**16
         ],
         ids=str,
     )

@@ -31,10 +31,10 @@ from .bessel import _validate_arguments
 from .color import ColorMatchingTable, OctaveMap, _cube_rows, _srgb_rows, _xyz_rows
 from .color import spectrum_to_xyz, standard_observer, xyz_to_srgb
 from .gesture import _gesture_text, _map_rows, adsr_gesture
-from .ppm import _ppm_pieces, _write
+from .ppm import _check_outputs, _ppm_pieces, _write
 from .spectrum import _fold_rows, _sideband_rows
 from .synth import _analyze_blocks, _check_size, _fm_path_blocks, _segment_samples
-from .wavefile import _check_wav_rate, _read_pcm16, _wav_pieces
+from .wavefile import _read_pcm16, _wav_pieces
 
 __all__ = ["main"]
 
@@ -181,9 +181,13 @@ def build_index_grid(start: float, end: float, step: float) -> np.ndarray:
     return start + np.arange(_grid_count(start, end, step)) * step
 
 
-def _ascii(*texts) -> Iterator[bytes]:
-    """The strings of each iterable of texts in turn, as ASCII bytes."""
-    return (text.encode("ascii") for strings in texts for text in strings)
+def _text(head: str, form: str, columns: Sequence[np.ndarray], tail: str = "") -> Iterator[bytes]:
+    """ASCII pieces: head, form % row over the columns' rows, _BLOCK_INDICES rows a piece, tail."""
+    yield head.encode("ascii")
+    for k in range(0, len(columns[0]), _BLOCK_INDICES):
+        rows = zip(*(column[k : k + _BLOCK_INDICES].tolist() for column in columns))
+        yield "".join(form % row for row in rows).encode("ascii")
+    yield tail.encode("ascii")
 
 
 def _fm_path_rows(
@@ -197,14 +201,16 @@ def _fm_path_rows(
     each row equals the chain fm_sidebands, fold_spectrum, spectrum_to_xyz,
     xyz_to_srgb on its own index bit for bit.
     """
-    blocks = []
+    xyz, rgb = np.empty((len(grid), 3)), np.empty((len(grid), 3), dtype=np.int64)
+    orders, weights = np.empty(len(grid), dtype=np.int64), np.empty(len(grid))
     for k in range(0, len(grid), _BLOCK_INDICES):
-        freqs, amps, orders = _sideband_rows(fc, fm, grid[k : k + _BLOCK_INDICES])
-        lines, amplitudes, counts, _dc = _fold_rows(freqs, amps, 2 * orders + 1)
-        raw, weights = _xyz_rows(lines, amplitudes, counts, octave, cmf)
-        xyz = _cube_rows(raw)
-        blocks.append((xyz, _srgb_rows(xyz), orders, weights))
-    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+        block = slice(k, k + _BLOCK_INDICES)  # filled in place, so the rows are never held twice
+        freqs, amps, orders[block] = _sideband_rows(fc, fm, grid[block])
+        lines, amplitudes, counts, _dc = _fold_rows(freqs, amps, 2 * orders[block] + 1)
+        raw, weights[block] = _xyz_rows(lines, amplitudes, counts, octave, cmf)
+        xyz[block] = _cube_rows(raw)
+        rgb[block] = _srgb_rows(xyz[block])
+    return xyz, rgb, orders, weights
 
 
 def _squares_ppm(rgb: np.ndarray):
@@ -250,27 +256,23 @@ def _run_fm_path(s: dict[str, Any]) -> int:
     _check_size(seg * _grid_count(s["i_start"], s["i_end"], s["i_step"]))
     grid = build_index_grid(s["i_start"], s["i_end"], s["i_step"])
     octave = OctaveMap(base_hz=s["base"], flip=s["flip_orientation"])
-    # sweep, WAV rate and Bessel checks run before any color row; the threads start at the first block
+    # sweep, WAV rate, Bessel and path checks run before any color row; the threads start at the first block
     total, blocks = _fm_path_blocks(s["fc"], s["fm"], grid, s["seg_dur"], s["rate"])
-    _check_wav_rate(s["rate"])
+    wav = _wav_pieces(s["rate"], total, blocks)
     _validate_arguments(grid)
-    xyz, rgb, orders, weights = _fm_path_rows(s["fc"], s["fm"], grid, octave, standard_observer())
     log_path = s["out_log"] or s["out_csv"].removesuffix(Path(s["out_csv"]).suffix) + ".log"
+    _check_outputs(s["out_wav"], s["out_csv"], s["out_img"], log_path)
+    xyz, rgb, orders, weights = _fm_path_rows(s["fc"], s["fm"], grid, octave, standard_observer())
     settings = "".join(f"{key}: {value}\n" for key, value in s.items() if not key.startswith("out_"))
     head = (f"command: fm-path\n{settings}grid_rows: {len(grid)}\nsegment_samples: {seg}\n"
             f"total_samples: {total}\nduration_sec: {total / s['rate']:.6f}\n")  # settings in option order
     tail = (f"max_adjacent_srgb_distance: {np.max(_adjacent_distances(rgb), initial=0.0):.6f}\n"
             f"full_span_srgb_distance: {_full_span_distance(rgb):.6f}\n")
-    indices = grid.tolist()  # one list for both texts: a generator builds its first iterable at once
-    csv = (f"{index:.6f},{x:.6f},{y:.6f},{z:.6f},{r},{g},{b}\n"
-           for index, (x, y, z), (r, g, b) in zip(indices, xyz.tolist(), rgb.tolist()))
-    log = (f"I={index:.6f} N={order} weight_sum={weight:.9f}\n"
-           for index, order, weight in zip(indices, orders.tolist(), weights.tolist()))
     _write(
-        (s["out_wav"], _wav_pieces(s["rate"], total, blocks)),
-        (s["out_csv"], _ascii(["I,X,Y,Z,R,G,B\n"], csv)),
+        (s["out_wav"], wav),
+        (s["out_csv"], _text("I,X,Y,Z,R,G,B\n", "%.6f,%.6f,%.6f,%.6f,%d,%d,%d\n", (grid, *xyz.T, *rgb.T))),
         (s["out_img"], _squares_ppm(rgb)),
-        (log_path, _ascii([head], log, [tail])),
+        (log_path, _text(head, "I=%.6f N=%d weight_sum=%.9f\n", (grid, orders, weights), tail)),
     )
     print(f"fm-path: {len(grid)} colors, {total} samples ({total / s['rate']:.3f} s) -> "
           f"{s['out_wav']}, {s['out_csv']}, {s['out_img']}, {log_path}")
@@ -284,12 +286,10 @@ def _run_wav2color(s: dict[str, Any]) -> int:
     xyz = spectrum_to_xyz(spectrum, octave, standard_observer())
     srgb = xyz_to_srgb(xyz)
     columns = (spectrum.frequencies, spectrum.amplitudes, spectrum.phases)
-    lines = (f"{frequency:.6f},{amplitude:.6f},{phase:.6f}\n"
-             for frequency, amplitude, phase in zip(*(column.tolist() for column in columns)))
     color = f"\nX,Y,Z,R,G,B\n{xyz.x:.6f},{xyz.y:.6f},{xyz.z:.6f},{srgb.r},{srgb.g},{srgb.b}\n"
     swatch = np.full((SWATCH_SIZE, SWATCH_SIZE, 3), (srgb.r, srgb.g, srgb.b), dtype=np.uint8)
     _write(
-        (s["out_csv"], _ascii(["frequency,amplitude,phase\n"], lines, [color])),
+        (s["out_csv"], _text("frequency,amplitude,phase\n", "%.6f,%.6f,%.6f\n", columns, color)),
         (s["out_img"], _ppm_pieces([swatch], SWATCH_SIZE, SWATCH_SIZE)),
     )
     print(

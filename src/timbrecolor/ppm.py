@@ -12,22 +12,27 @@ import numpy as np
 __all__ = ["write_ppm", "read_ppm"]
 
 
-def _write(*outputs) -> None:
-    """Write each (path, pieces) output in turn, its pieces a generator of bytes-like objects.
-    Before any piece, refuse two outputs at one path, and with open's own error a path that
-    open refuses: empty, a directory, or under a missing directory or a file.  A file opens
-    once its first piece exists.  Any later failure removes each file this call opened that is
-    a regular file and not a symlink (so never /dev/stdout), and closes the failed pieces."""
-    paths = [os.path.abspath(path) for path, _pieces in outputs]
-    if len(set(paths)) < len(paths):
-        raise ValueError(f"two outputs name the same path {max(paths, key=paths.count)}")
-    for name in (os.fspath(path) for path, _pieces in outputs):
+def _check_outputs(*paths) -> None:
+    """Refuse two outputs at one path, and with open's own error a path that open
+    refuses: empty, a directory, or under a missing directory or a file."""
+    absolute = [os.path.abspath(path) for path in paths]
+    if len(set(absolute)) < len(absolute):
+        raise ValueError(f"two outputs name the same path {max(absolute, key=absolute.count)}")
+    for name in map(os.fspath, paths):
         try:  # "" fails with ENOENT, and the trailing slash makes a directory that is a file fail with ENOTDIR
             os.stat(os.path.join(os.path.dirname(name) or (name and "."), ""))
         except OSError as exc:
             raise OSError(exc.errno, exc.strerror, name) from None
         if os.path.isdir(name):
             raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), name)
+
+
+def _write(*outputs) -> None:
+    """Write each (path, pieces) output in turn, its pieces a generator of bytes-like objects.
+    _check_outputs refuses the paths before any piece.  A file opens once its first piece
+    exists.  Any later failure removes each file this call opened that is a regular file and
+    not a symlink (so never /dev/stdout), and closes the failed pieces."""
+    _check_outputs(*(path for path, _pieces in outputs))
     opened = []
     try:
         for path, pieces in outputs:

@@ -48,21 +48,16 @@ def _pcm16(blocks):
         yield np.floor(np.add(np.multiply(block, _SCALE, out=x), 0.5, out=x), out=x).astype("<i2")
 
 
-def _check_wav_rate(rate: int) -> None:
+def _wav_pieces(rate: int, count: int, blocks):
+    """The pieces of a WAV file of count samples from float64 blocks; the rate is refused at the call."""
     if rate > 2**31 - 1:  # the header holds rate and its byte rate, 2 * rate, in 32 bits
         raise ValueError(f"sample rate {rate} exceeds the WAV limit of 2147483647")
-
-
-def _wav_pieces(rate: int, count: int, blocks):
-    """The pieces of a WAV file of count samples, given as float64 blocks."""
-    _check_wav_rate(rate)
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + 2 * count, b"WAVE", b"fmt ", 16,
         _PCM_FORMAT, _CHANNELS, rate, rate * _CHANNELS * (_BITS // 8),
         _CHANNELS * (_BITS // 8), _BITS, b"data", 2 * count,
     )
-    yield header
-    yield from _pcm16(blocks)
+    return (piece for pieces in ([header], _pcm16(blocks)) for piece in pieces)
 
 
 @contextlib.contextmanager

@@ -402,6 +402,9 @@ class TestStreamedWav:
         short, long = peak(1001), peak(4001)
         assert len(read_ppm(tmp_path / "p.ppm")) == -(-4001 // 16) * 32
         assert abs(long - short) < 10**6, (short, long)
+        # whole-column text lists or concatenated rows would cost over 120 bytes a grid value
+        longer = peak(8001)
+        assert abs(longer - short) < 120 * (8001 - 1001), (short, longer)
 
     def test_carrier_above_nyquist_writes_no_wav(self, tmp_path, capsys):
         args = [
@@ -484,6 +487,26 @@ class TestStreamedWav:
         )
         assert list(tmp_path.iterdir()) == []
 
+    def test_a_path_open_refuses_builds_no_color_row(self, tmp_path, capsys, monkeypatch):
+        # 20 001 color rows would be built, and thrown away, if only the writer checked the paths
+        calls = []
+        monkeypatch.setattr(cli, "_fm_path_rows", lambda *args: calls.append(args))
+        adir = tmp_path / "adir"
+        adir.mkdir()
+        args = [
+            "fm-path", "--i-step", "0.001", "--seg-dur", "0.0001",
+            "--out-wav", str(tmp_path / "p.wav"),
+            "--out-img", str(tmp_path / "p.ppm"),
+            "--out-csv", str(adir),
+        ]
+        assert main(args) == 2
+        with pytest.raises(IsADirectoryError) as opened:
+            open(adir, "wb")
+        assert capsys.readouterr() == ("", f"error: {opened.value}\n")
+        assert calls == []
+        assert list(tmp_path.iterdir()) == [adir]
+        assert list(adir.iterdir()) == []
+
 
 def chain_rows(fc, fm, grid, octave, cmf):
     """_fm_path_rows's four arrays, one index at a time through the public
@@ -530,6 +553,12 @@ class TestFMPathRows:
         got = _fm_path_rows(fc, fm, grid, octave, cmf)
         for have, want in zip(got, chain_rows(fc, fm, grid, octave, cmf)):
             assert have.dtype == want.dtype and np.array_equal(have, want)
+
+    def test_an_empty_grid_gives_four_empty_arrays(self):
+        got = _fm_path_rows(440.0, 880.0, np.empty(0), OctaveMap(), standard_observer())
+        assert [(a.dtype, a.shape) for a in got] == [
+            (np.float64, (0, 3)), (np.int64, (0, 3)), (np.int64, (0,)), (np.float64, (0,))
+        ]
 
     def test_grid_longer_than_a_block_and_not_a_multiple(self):
         grid = build_index_grid(0.003, 16.003, 0.05)
@@ -1127,7 +1156,8 @@ class TestFaultTable:
     error line (or the interrupt propagates), and leaves no file it created.  A
     file at an output path that the command never opened stays untouched: the
     outputs after the failing one, and every other output when open would
-    refuse a path, which is refused before any output's first piece is made."""
+    refuse a path, which is refused before any output's first piece is made
+    (and in fm-path before any color row)."""
 
     @pytest.mark.parametrize("command, name, fault", FAULT_ROWS, ids=["-".join(row) for row in FAULT_ROWS])
     def test_a_failed_command_leaves_nothing_it_wrote(
@@ -1157,6 +1187,8 @@ class TestFaultTable:
             monkeypatch.setattr(builtins, "open", faulty_open)
         given = []  # each output's pieces, as the command hands them to the writer
         monkeypatch.setattr(cli, "_write", lambda *outputs: given.extend(outputs) or ppm._write(*outputs))
+        rows, fm_path_rows = [], cli._fm_path_rows  # fm-path's color rows, each call's arguments
+        monkeypatch.setattr(cli, "_fm_path_rows", lambda *args: rows.append(args) or fm_path_rows(*args))
         argv = [command, *settings, *(arg for flag, n in outputs for arg in (flag, str(paths[n])))]
         if command == "wav2color":
             argv += ["--in", str(tone)]
@@ -1172,8 +1204,10 @@ class TestFaultTable:
             assert re.fullmatch(r"error: [^\n]+\n", stderr), stderr
         if fault in REFUSED:
             assert stderr == f"error: {REFUSED[fault][1]}: '{paths[name]}'\n"
-            # no piece made: the render and the gesture text never started
-            assert [inspect.getgeneratorstate(pieces) for _path, pieces in given] == ["GEN_CREATED"] * len(names)
+            if command == "fm-path":  # refused before any color row, so the writer is never called
+                assert rows == [] and given == []
+            else:  # no piece made: the render and the gesture text never started
+                assert [inspect.getgeneratorstate(pieces) for _path, pieces in given] == ["GEN_CREATED"] * len(names)
         assert sorted(p.name for p in out.iterdir()) == sorted(never_opened)
         for n in never_opened:
             assert paths[n].read_bytes() == b"before the run: " + n.encode()

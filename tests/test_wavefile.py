@@ -93,6 +93,11 @@ class TestRoundTrip:
             write_wav(SampledWave(sample_rate=rate, samples=np.zeros(4)), path)
         assert not path.exists()
 
+    def test_a_rate_past_the_header_limit_is_refused_at_the_call(self):
+        # not at the first piece: fm-path relies on it to refuse the rate before any color row
+        with pytest.raises(ValueError, match="^sample rate 2147483648 exceeds the WAV limit of 2147483647$"):
+            _wav_pieces(2**31, 4, [np.zeros(4)])
+
     def test_the_largest_header_rate_still_writes(self, tmp_path):
         samples = np.array([0.0, 0.5, -1.0, 1.0])
         write_wav(SampledWave(sample_rate=2**31 - 1, samples=samples), tmp_path / "top.wav")

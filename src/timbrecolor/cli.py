@@ -111,7 +111,7 @@ def _add_options(parser: argparse.ArgumentParser, options: Sequence[OptionSpec])
             kind = {"action": "store_true"}
         else:
             kind = {"type": opt.kind, "metavar": opt.name.upper().replace("-", "_")}
-        parser.add_argument(f"--{opt.name}", dest=_dest(opt.name), default=argparse.SUPPRESS,
+        parser.add_argument(f"--{opt.name}", dest=_dest(opt.name), default=opt.default,
                             help=opt.help, **kind)
 
 
@@ -146,19 +146,6 @@ def _load_config(path: str, options: Sequence[OptionSpec]) -> dict[str, Any]:
             raise ValueError(f"config line {lineno}: unknown key '{key.strip()}'")
         loaded[_dest(name)] = _parse_config_value(by_name[name], raw, lineno)
     return loaded
-
-
-def _merge_settings(args: argparse.Namespace, options: Sequence[OptionSpec]) -> dict[str, Any]:
-    settings = {_dest(opt.name): opt.default for opt in options}
-    if args.config is not None:
-        settings.update(_load_config(args.config, options))
-    for opt in options:
-        dest = _dest(opt.name)
-        if hasattr(args, dest):
-            settings[dest] = getattr(args, dest)
-        if settings[dest] is None:
-            raise ValueError(f"missing required flag --{opt.name}")
-    return settings
 
 
 def _grid_count(start: float, end: float, step: float) -> int:
@@ -358,14 +345,22 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, help_text, options, handler in _COMMANDS:
         command = sub.add_parser(name, help=help_text)
         _add_options(command, options)
-        command.set_defaults(handler=handler, options=options)
+        command.set_defaults(handler=handler, options=options, parser=command)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     try:
-        return args.handler(_merge_settings(args, args.options))
+        if args.config is not None:  # file values become defaults, so argparse lets a flag beat them
+            args.parser.set_defaults(**_load_config(args.config, args.options))
+            args = parser.parse_args(argv)
+        settings = {_dest(opt.name): getattr(args, _dest(opt.name)) for opt in args.options}
+        for opt in args.options:
+            if settings[_dest(opt.name)] is None:
+                raise ValueError(f"missing required flag --{opt.name}")
+        return args.handler(settings)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

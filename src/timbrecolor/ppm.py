@@ -28,18 +28,16 @@ def _check_outputs(*paths) -> None:
 
 
 def _write(*outputs) -> None:
-    """Write each (path, pieces) output in turn, its pieces a generator of bytes-like objects.
-    _check_outputs refuses the paths before any piece.  A file opens once its first piece
-    exists.  Any later failure removes each file this call opened that is a regular file and
+    """Write each (path, pieces) output in turn, its pieces a generator of bytes-like objects
+    whose first, a header, takes no work to make.  _check_outputs refuses the paths before any
+    piece.  Any later failure removes each file this call opened that is a regular file and
     not a symlink (so never /dev/stdout), and closes the failed pieces."""
     _check_outputs(*(path for path, _pieces in outputs))
     opened = []
     try:
         for path, pieces in outputs:
-            first = next(pieces, b"")
             with open(path, "wb") as fh:  # inside the try: a failed close is a failure too
                 opened.append(path)
-                fh.write(first)
                 fh.writelines(pieces)
     except BaseException:
         for path in opened:

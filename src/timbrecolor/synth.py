@@ -221,29 +221,20 @@ def _views(samples: np.ndarray):
 def _analysis_window(
     sample_count: int, fundamental_hz: float, rate: int
 ) -> tuple[int, int]:
-    # Largest whole number of periods that fits, preferring a period count
-    # whose span in samples is closest to integral: that restores discrete
-    # orthogonality of the projection basis whenever the rate and the
-    # fundamental are commensurable.  Returns (length, periods).
+    # Of the period counts that fit, down at most 400 from the largest, take the largest
+    # whose span is within 1e-6 samples of a whole number, else the largest closest to
+    # one: a whole span restores discrete orthogonality of the projection basis whenever
+    # the rate and the fundamental are commensurable.  Returns (length, periods).
     periods_max = int(math.floor(sample_count * fundamental_hz / rate))
     if periods_max < _MIN_ANALYSIS_PERIODS:
         raise ValueError(
             f"wave too short: covers {periods_max} fundamental periods, "
             f"need at least {_MIN_ANALYSIS_PERIODS}"
         )
-    best = None
-    best_mismatch = math.inf
-    lowest = max(_MIN_ANALYSIS_PERIODS, periods_max - 400)
-    for periods in range(periods_max, lowest - 1, -1):
-        span = periods * rate / fundamental_hz
-        length = int(round(span))
-        mismatch = abs(span - length)
-        if mismatch < best_mismatch:
-            best_mismatch = mismatch
-            best = (length, periods)
-            if mismatch < 1e-6:
-                break
-    return best
+    candidates = range(periods_max, max(_MIN_ANALYSIS_PERIODS, periods_max - 400) - 1, -1)
+    mismatch = lambda periods: abs(math.remainder(periods * rate / fundamental_hz, 1.0))  # to the nearest whole
+    periods = next((p for p in candidates if mismatch(p) < 1e-6), None) or min(candidates, key=mismatch)
+    return round(periods * rate / fundamental_hz), periods
 
 
 def analyze_harmonics(

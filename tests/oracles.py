@@ -108,6 +108,29 @@ def harmonic_coefficients(samples, rate: int, frequencies) -> list[complex]:
     return out
 
 
+def analysis_window(sample_count: int, fundamental_hz: float, rate: int) -> tuple[int, int]:
+    """(length, periods) of the harmonic analysis window, by an explicit search.
+
+    Walk the period counts down from the most that fit, at most 400 below
+    it and never below 10, keeping the first count whose span in samples
+    is strictly closer to a whole number than every count before it; stop
+    at the first whose span is within 1e-6 samples of one.
+    """
+    periods_max = math.floor(sample_count * fundamental_hz / rate)
+    if periods_max < 10:
+        raise ValueError("wave too short")
+    best, best_mismatch = None, math.inf
+    for periods in range(periods_max, max(10, periods_max - 400) - 1, -1):
+        span = periods * rate / fundamental_hz
+        length = int(round(span))
+        mismatch = abs(span - length)
+        if mismatch < best_mismatch:
+            best, best_mismatch = (length, periods), mismatch
+            if mismatch < 1e-6:
+                break
+    return best
+
+
 def interp_column(lam: float, wavelengths, column) -> float:
     """By-hand linear interpolation on the uniform 5 nm grid."""
     if lam <= wavelengths[0]:

@@ -661,6 +661,97 @@ class TestConfigFile:
         assert sorted(path.name for path in tmp_path.iterdir()) == ["run.cfg"]
 
 
+# (config text, parsed value) of a value that no option has as its default, by kind
+CONFIG_VALUES = {float: ("2.5", 2.5), int: ("7", 7), str: ("from-config", "from-config"), bool: ("true", True)}
+# (the flag's arguments, parsed value), by kind; a boolean flag beats "false" in the file
+FLAG_VALUES = {float: (["3.75"], 3.75), int: (["9"], 9), str: (["from-flag"], "from-flag"), bool: ([], True)}
+REQUIRED_FLAGS = {"wav2color": ["--in", "tone.wav", "--fundamental", "440"], "envelope-transfer": ["--color", "808080"]}
+SETTING_ROWS = [(command, opt) for command, _help, options, _run in cli._COMMANDS for opt in options]
+
+
+@pytest.fixture
+def spied_settings(monkeypatch, tmp_path):
+    """cli._COMMANDS with every handler replaced by a spy that does no work: a
+    call of the returned function runs main on argv and an optional config
+    text, and returns the settings the handler got."""
+    got = []
+    spies = tuple((name, help_text, options, lambda s: got.append(s) or 0)
+                  for name, help_text, options, _run in cli._COMMANDS)
+    monkeypatch.setattr(cli, "_COMMANDS", spies)
+
+    def run(argv, config=None):
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config)
+            argv = [*argv, "--config", str(tmp_path / "run.cfg")]
+        got.clear()
+        assert main(argv) == 0
+        [settings] = got
+        return settings
+
+    return run
+
+
+class TestSettingsRule:
+    """Each option: a flag beats the config file, and the file beats the default."""
+
+    @staticmethod
+    def defaults(command):
+        options = {name: specs for name, _help, specs, _run in cli._COMMANDS}[command]
+        settings = {opt.name.replace("-", "_"): opt.default for opt in options}
+        required = REQUIRED_FLAGS.get(command, [])
+        for flag, value in zip(required[::2], required[1::2]):
+            settings[flag[2:]] = float(value) if flag == "--fundamental" else value
+        return settings
+
+    @pytest.mark.parametrize("command", [name for name, *_rest in cli._COMMANDS])
+    def test_no_config_gives_the_defaults_in_option_order(self, spied_settings, command):
+        settings = spied_settings([command, *REQUIRED_FLAGS.get(command, [])])
+        assert list(settings.items()) == list(self.defaults(command).items())
+
+    @pytest.mark.parametrize("command, opt", SETTING_ROWS, ids=[f"{c}-{o.name}" for c, o in SETTING_ROWS])
+    def test_a_config_value_beats_the_default(self, spied_settings, command, opt):
+        text, value = CONFIG_VALUES[opt.kind]
+        assert value != opt.default
+        required = REQUIRED_FLAGS.get(command, [])
+        if f"--{opt.name}" in required:  # the required option comes from the file alone
+            at = required.index(f"--{opt.name}")
+            required = required[:at] + required[at + 2 :]
+        settings = spied_settings([command, *required], f"{opt.name} = {text}\n")
+        assert list(settings.items()) == list({**self.defaults(command), opt.name.replace("-", "_"): value}.items())
+
+    @pytest.mark.parametrize("command, opt", SETTING_ROWS, ids=[f"{c}-{o.name}" for c, o in SETTING_ROWS])
+    def test_a_flag_beats_the_config_value(self, spied_settings, command, opt):
+        config = "false" if opt.kind is bool else CONFIG_VALUES[opt.kind][0]
+        arguments, value = FLAG_VALUES[opt.kind]
+        argv = [command, *REQUIRED_FLAGS.get(command, []), f"--{opt.name}", *arguments]
+        settings = spied_settings(argv, f"{opt.name} = {config}\n")
+        assert list(settings.items()) == list({**self.defaults(command), opt.name.replace("-", "_"): value}.items())
+
+    @pytest.mark.parametrize("command", ["fm-path", "wav2color"])
+    @pytest.mark.parametrize("flag, want", [([], False), (["--flip-orientation"], True)])
+    def test_flip_orientation_false_in_the_file(self, spied_settings, command, flag, want):
+        argv = [command, *REQUIRED_FLAGS.get(command, []), *flag]
+        assert spied_settings(argv, "flip-orientation=false\n")["flip_orientation"] is want
+
+    def test_the_required_wav2color_flags_from_the_file_alone(self, spied_settings):
+        settings = spied_settings(["wav2color"], "in = tone.wav\nfundamental = 440\n")
+        assert (settings["in"], settings["fundamental"]) == ("tone.wav", 440.0)
+
+    @pytest.mark.parametrize(
+        "argv, config, missing",
+        [(["wav2color"], None, "in"), (["wav2color", "--in", "x.wav"], None, "fundamental"),
+         (["wav2color"], "fundamental = 440\n", "in"), (["envelope-transfer"], "attack = 1\n", "color")],
+    )
+    def test_a_required_flag_from_neither_is_refused(self, monkeypatch, tmp_path, capsys, argv, config, missing):
+        monkeypatch.chdir(tmp_path)
+        if config is not None:
+            Path("run.cfg").write_text(config)
+            argv = [*argv, "--config", "run.cfg"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: missing required flag --{missing}\n")
+        assert sorted(os.listdir(tmp_path)) == (["run.cfg"] if config else [])
+
+
 class TestWav2ColorCommand:
     def make_wave(self, tmp_path, index=2.0):
         wave = render_fm_wave(FMParams(440.0, 880.0, index), 0.25, 44100)
@@ -1250,6 +1341,50 @@ class TestFaultTable:
         assert os.listdir("adir") == []
         for name in self.EARLIER:
             assert Path(name).read_bytes() == b"an earlier run"
+
+
+class TestFirstPieces:
+    """Every output's first piece is its header, made without work, so the writer
+    opens each file with no gate: fm-path's render threads start after the WAV's
+    header exists, at the first block."""
+
+    HEADERS = {
+        "p.wav": rb"RIFF.{4}WAVEfmt .{20}data.{4}",
+        "p.csv": rb"I,X,Y,Z,R,G,B\n",
+        "p.ppm": rb"P6\n160 32\n255\n",
+        "p.log": rb"command: fm-path\n(\w+: [^\n]*\n)*duration_sec: [0-9.]+\n",
+        "w.csv": rb"frequency,amplitude,phase\n",
+        "w.ppm": rb"P6\n64 64\n255\n",
+        "g.txt": rb"digraph 5 4\n(a \d \d\n){4}",
+        "s.ppm": rb"P6\n512 32\n255\n",
+    }
+
+    @pytest.mark.parametrize("command", list(WRITERS))
+    def test_each_first_piece_is_the_header(self, tmp_path, monkeypatch, tone, command):
+        settings, outputs = WRITERS[command]
+        firsts = {}
+
+        def then(first, pieces):
+            yield first
+            yield from pieces
+
+        threads = threading.active_count()
+
+        def spy(*given):
+            taken = []
+            for path, pieces in given:
+                firsts[Path(path).name] = first = next(pieces)
+                assert threading.active_count() == threads, Path(path).name
+                taken.append((path, then(first, pieces)))
+            ppm._write(*taken)
+
+        monkeypatch.setattr(cli, "_write", spy)
+        argv = [command, *settings, *(arg for flag, name in outputs for arg in (flag, str(tmp_path / name)))]
+        assert main([*argv, *(["--in", str(tone)] if command == "wav2color" else [])]) == 0
+        assert list(firsts) == [name for _flag, name in outputs]
+        for name, first in firsts.items():
+            assert type(first) is bytes and re.fullmatch(self.HEADERS[name], first, re.DOTALL), (name, first)
+            assert (tmp_path / name).read_bytes().startswith(first)
 
 
 class TestOutputsAtOnePath:

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import harmonic_coefficients
+from oracles import analysis_window, harmonic_coefficients
 from timbrecolor import synth
 from timbrecolor.cli import main
 from timbrecolor.spectrum import fm_sidebands, fold_spectrum, synthesize
@@ -628,6 +628,55 @@ def noisy_tone(rate, f0, count, seed):
     t = np.arange(count, dtype=np.float64) / rate
     samples = 0.1 + 0.5 * np.sin(TWO_PI * f0 * t + 1.0) + 0.2 * np.sin(TWO_PI * 2.0 * f0 * t + 2.5)
     return samples + 1e-4 * rng.standard_normal(count)
+
+
+def window_inputs(seed: int, count: int) -> list[tuple[int, float, int]]:
+    """Seeded (sample count, fundamental, rate) triples: the named fundamentals
+    at counts exactly at and one sample past whole numbers of periods, then
+    random fundamentals, rates and counts, some of them commensurable."""
+    named = [(440.0, RATE), (261.63, RATE), (440.0000001, RATE), (1375.0, 8000), (220.0, RATE), (261.63, 48000)]
+    inputs = [(round(periods * rate / f0) + extra, f0, rate)
+              for f0, rate in named for periods in (10, 11, 22, 441, 4400) for extra in (0, 1)]
+    inputs += [(rate, f0, rate) for f0, rate in named] + [(60 * RATE, 440.0, RATE), (RATE, 440.0000001, RATE)]
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        rate = int(rng.choice([8000, 22050, 44100, 48000, int(rng.integers(100, 200_000))]))
+        if rng.random() < 0.5:  # a period of a whole or a halved, thirded... number of samples
+            f0 = rate / (int(rng.integers(3, 400)) + int(rng.integers(0, 6)) / int(rng.integers(1, 7)))
+        else:
+            f0 = float(rng.uniform(1.0, rate / 2.0))
+        periods = int(rng.integers(10, 3000))
+        inputs.append((max(1, round(periods * rate / f0) + int(rng.integers(-2, 3))), f0, rate))
+    return inputs
+
+
+class TestAnalysisWindow:
+    """_analysis_window states the policy that oracles.analysis_window searches for."""
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_equals_the_explicit_search(self, seed):
+        taken = {"next": 0, "min": 0}
+        for count, f0, rate in window_inputs(seed, 2000):
+            try:
+                want = analysis_window(count, f0, rate)
+            except ValueError:
+                with pytest.raises(ValueError, match="wave too short"):
+                    synth._analysis_window(count, f0, rate)
+                continue
+            got = synth._analysis_window(count, f0, rate)
+            assert got == want and [type(v) for v in got] == [int, int], (count, f0, rate)
+            span = got[1] * rate / f0
+            taken["next" if abs(span - got[0]) < 1e-6 else "min"] += 1
+        assert min(taken.values()) > 200  # both halves of the policy are exercised
+
+    @pytest.mark.parametrize(
+        "count, f0, rate, window",
+        [(RATE, 440.0, RATE, (44100, 440)), (RATE + 1, 440.0, RATE, (44100, 440)),
+         (RATE, 440.0000001, RATE, (4410, 44)), (100, 1375.0, 8000, (64, 11)), (RATE, 220.0, RATE, (44100, 220)),
+         (45601, 512.0, 51201, (45601, 456))],  # a tie: 456 and 56 periods both miss by 56/512, the larger wins
+    )
+    def test_named_fundamentals(self, count, f0, rate, window):
+        assert synth._analysis_window(count, f0, rate) == analysis_window(count, f0, rate) == window
 
 
 class TestStreamedFold:

@@ -117,10 +117,10 @@ class BesselCoefficients:
     """One row of sideband amplitudes J_0..J_N at a fixed modulation index.
 
     max_order N is the smallest with both the two-sided energy left out of
-    {-N..N}, 1 - sum_{|n|<=N} J_n(I)^2, and |J_{N+1}(I)| below the tail
-    tolerance.  The second condition keeps truncated resynthesis pointwise
-    close to the exact waveform, which the energy bound alone does not
-    guarantee.
+    {-N..N}, 1 - sum_{|n|<=N} J_n(I)^2, and |J_{N+1}(I)| below the one tail
+    tolerance, DEFAULT_TAIL_TOLERANCE = 1e-10.  The second condition keeps
+    truncated resynthesis pointwise close to the exact waveform, which the
+    energy bound alone does not guarantee.
     """
 
     modulation_index: float
@@ -139,54 +139,37 @@ class BesselCoefficients:
         return math.fsum(squares) + math.fsum(squares[1:])
 
 
-def _validate_tolerance(tail_tolerance: float) -> float:
-    tol = float(tail_tolerance)
-    if not (0.0 < tol < 1.0):
-        raise ValueError(
-            f"tail tolerance must lie in (0, 1), got {tail_tolerance!r}"
-        )
-    return tol
-
-
-def _bessel_rows(x: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _bessel_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Columns J_0..J_{int(x)+80}, energy_order and bessel_row's max_order
     of every index in x, in one pass."""
-    n_max = x.astype(np.int64) + 80
+    n_max = x.astype(np.int64) + 80  # over [0, 1000] both orders stay within int(x) + 75
     block = _miller_rows(x, n_max)
     order = np.arange(len(block))[:, None]
     squares = np.where((order > 0) & (order <= n_max), 2.0 * block * block, 0.0)
     # tails[N] = 2 * sum_{n > N} J_n^2, summed from the top down as a loop adds it
     tails = np.cumsum(squares[::-1], axis=0)[::-1][1:]
-    cut = (tails < tol) & (order[:-1] < n_max)
-    if not cut.any(axis=0).all():
-        bad = x[np.argmin(cut.any(axis=0))].item()
-        raise ValueError(f"could not satisfy tail tolerance {tol} at index {bad}")
-    energy = np.argmax(cut, axis=0)
-    # extend while the next value still reaches tol, up to row n_max
+    energy = np.argmax(tails < DEFAULT_TAIL_TOLERANCE, axis=0)
+    # extend while the next value still reaches the tolerance, up to row n_max
     stop = order >= n_max
-    stop[:-1] |= np.abs(block[1:]) < tol
+    stop[:-1] |= np.abs(block[1:]) < DEFAULT_TAIL_TOLERANCE
     return block, energy, np.argmax(stop & (order >= energy), axis=0)
 
 
-def bessel_row(
-    modulation_index: float, tail_tolerance: float = DEFAULT_TAIL_TOLERANCE
-) -> BesselCoefficients:
+def bessel_row(modulation_index: float) -> BesselCoefficients:
     """Sideband amplitudes J_0..J_N for one modulation index, N as BesselCoefficients
-    states (one column of _bessel_rows)."""
+    states at the fixed tolerance 1e-10 (one column of _bessel_rows)."""
     x = _validate_arguments(float(modulation_index))
-    block, _energy, orders = _bessel_rows(x, _validate_tolerance(tail_tolerance))
+    block, _energy, orders = _bessel_rows(x)
     n = int(orders[0])
     return BesselCoefficients(x.item(), n, tuple(block[: n + 1, 0].tolist()))
 
 
-def energy_order(
-    modulation_index: float, tail_tolerance: float = DEFAULT_TAIL_TOLERANCE
-) -> int:
-    """Smallest N with two-sided energy tail below tail_tolerance (via _bessel_rows).
+def energy_order(modulation_index: float) -> int:
+    """Smallest N with two-sided energy tail below DEFAULT_TAIL_TOLERANCE, 1e-10 (via _bessel_rows).
 
     This is the truncation order that matters for aliasing checks: beyond
     it the residual sideband energy is inaudible by construction, even
     though individual coefficients may still exceed the tolerance.
     """
     x = _validate_arguments(float(modulation_index))
-    return int(_bessel_rows(x, _validate_tolerance(tail_tolerance))[1][0])
+    return int(_bessel_rows(x)[1][0])

@@ -13,11 +13,12 @@ __all__ = ["write_ppm", "read_ppm"]
 
 
 def _check_outputs(*paths) -> None:
-    """Refuse two outputs at one path, and with open's own error a path that open
-    refuses: empty, a directory, or under a missing directory or a file."""
-    absolute = [os.path.abspath(path) for path in paths]
-    if len(set(absolute)) < len(absolute):
-        raise ValueError(f"two outputs name the same path {max(absolute, key=absolute.count)}")
+    """Refuse two outputs at one real path (a device such as /dev/stdout keeps its own name), and with
+    open's own error a path that open refuses: empty, a directory, or under a missing directory or a file."""
+    real = [os.path.realpath(p) if os.path.isfile(p) or not os.path.exists(p) else os.path.abspath(p)
+            for p in paths]
+    if len(set(real)) < len(real):
+        raise ValueError(f"two outputs name the same path {max(real, key=real.count)}")
     for name in map(os.fspath, paths):
         try:  # "" fails with ENOENT, and the trailing slash makes a directory that is a file fail with ENOTDIR
             os.stat(os.path.join(os.path.dirname(name) or (name and "."), ""))
@@ -66,7 +67,7 @@ def write_ppm(path: str | Path, pixels: np.ndarray) -> None:
 def read_ppm(path: str | Path) -> np.ndarray:
     """Read a binary PPM written by write_ppm back to (H, W, 3) uint8."""
     blob = Path(path).read_bytes()
-    match = re.match(rb"\s*(\S+)\s+(\S+)\s+(\S+)\s+(\S+)", blob)  # \s: the bytes isspace accepts
+    match = re.match(rb"\s*(\S+)\s+(\d+)\s+(\d+)\s+(\S+)", blob)  # \s: the bytes isspace accepts
     if match is None:
         raise ValueError("malformed PPM header")
     magic, width, height, maxval = match.groups()

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bessel import DEFAULT_TAIL_TOLERANCE, _bessel_rows, _validate_arguments, _validate_tolerance
+from .bessel import _bessel_rows, _validate_arguments
 
 __all__ = [
     "MERGE_TOLERANCE_HZ",
@@ -117,11 +117,11 @@ def _check_voice(carrier_hz, modulator_hz, indices, rate=math.inf) -> tuple:
     return fc, fm, x
 
 
-def _sideband_rows(fc_hz: float, fm_hz: float, indices, tail_tolerance=DEFAULT_TAIL_TOLERANCE):
+def _sideband_rows(fc_hz: float, fm_hz: float, indices):
     """(frequencies, amplitudes, N) of many indices: row j holds fm_sidebands
     of index j in its first 2 N_j + 1 entries, then padding."""
     fc, fm, x = _check_voice(fc_hz, fm_hz, indices)
-    block, _energy, orders = _bessel_rows(_validate_arguments(x), _validate_tolerance(tail_tolerance))
+    block, _energy, orders = _bessel_rows(_validate_arguments(x))
     top = int(orders.max())
     if not math.isfinite(fc + top * fm):  # the same float operations as below
         raise ValueError(f"top sideband {fc!r} + {top} * {fm!r} Hz is not finite")
@@ -131,18 +131,15 @@ def _sideband_rows(fc_hz: float, fm_hz: float, indices, tail_tolerance=DEFAULT_T
 
 
 def fm_sidebands(
-    carrier_hz: float,
-    modulator_hz: float,
-    modulation_index: float,
-    tail_tolerance: float = DEFAULT_TAIL_TOLERANCE,
+    carrier_hz: float, modulator_hz: float, modulation_index: float
 ) -> list[tuple[float, float]]:
     """Raw two-sided sideband list [(carrier + n*modulator, J_n(I))].
 
     One row of _sideband_rows: n runs from -N to N, N from bessel_row's
-    truncation rule, and J_{-n} = (-1)^n J_n.  Frequencies may be
-    negative or zero here; fold_spectrum canonicalizes.
+    truncation rule at its fixed tolerance 1e-10, and J_{-n} = (-1)^n J_n.
+    Frequencies may be negative or zero here; fold_spectrum canonicalizes.
     """
-    rows = _sideband_rows(carrier_hz, modulator_hz, float(modulation_index), tail_tolerance)
+    rows = _sideband_rows(carrier_hz, modulator_hz, float(modulation_index))
     return list(zip(rows[0][0].tolist(), rows[1][0].tolist()))
 
 

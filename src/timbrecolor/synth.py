@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import DEFAULT_TAIL_TOLERANCE, energy_order
+from .bessel import energy_order
 from .spectrum import _TWO_PI, LineSpectrum, _check_voice
 
 __all__ = [
@@ -195,7 +195,7 @@ def render_fm_wave(
     """
     fc, fm, index = params.carrier_hz, params.modulator_hz, params.modulation_index
     total, blocks = _fm_path_blocks(fc, fm, [index], duration_sec, sample_rate)
-    n_side = energy_order(index, DEFAULT_TAIL_TOLERANCE)
+    n_side = energy_order(index)
     top = fc + n_side * fm
     if top >= sample_rate / 2.0:
         raise ValueError(

@@ -114,16 +114,6 @@ class TestBesselRow:
         assert row.max_order == 0
         assert row.values == (1.0,)
 
-    def test_custom_tolerance_widens_order(self):
-        loose = bessel_row(5.0, 1e-4)
-        tight = bessel_row(5.0, 1e-12)
-        assert tight.max_order > loose.max_order
-
-    def test_rejects_bad_tolerance(self):
-        for bad in (0.0, 1.0, -1e-3, 2.0):
-            with pytest.raises(ValueError):
-                bessel_row(1.0, bad)
-
     def test_value_count_enforced(self):
         with pytest.raises(ValueError):
             BesselCoefficients(modulation_index=1.0, max_order=2, values=(1.0,))
@@ -208,7 +198,7 @@ class TestBatchedRecurrence:
 
     @pytest.mark.parametrize("xs", [SWEEP, np.array(MIXED)], ids=["sweep", "mixed"])
     def test_orders_equal_the_truncation_loops(self, xs):
-        _block, energy, orders = _bessel_rows(xs, DEFAULT_TAIL_TOLERANCE)
+        _block, energy, orders = _bessel_rows(xs)
         got = list(zip(energy.tolist(), orders.tolist()))
         assert got == [truncation_orders(x, DEFAULT_TAIL_TOLERANCE) for x in xs.tolist()]
 
@@ -230,6 +220,25 @@ class TestBatchedRecurrence:
         with pytest.raises(ValueError, match="1000.5 exceeds supported maximum"):
             _validate_arguments([1000.5, -1.0])
 
-    def test_unreachable_tolerance_names_its_index(self):
-        with pytest.raises(ValueError, match="at index 1000.0"):
-            _bessel_rows(np.array([1.0, 1000.0]), 1e-40)
+
+# every k/16 in [0, 1000] and the float just below each integer from 1 to 1000
+DOMAIN = np.union1d(np.arange(16001) / 16.0, np.nextafter(np.arange(1.0, 1001.0), 0.0))
+
+
+class TestTruncationDomain:
+    """With the tail tolerance fixed, both truncation rules stop short of the row cap
+    int(x) + 80 over the whole argument range, so _bessel_rows needs no refusal."""
+
+    def test_both_orders_stop_short_of_the_cap(self):
+        assert len(DOMAIN) == 17001
+        energy_margin, order_margin = [], []
+        for xs in np.array_split(DOMAIN, 67):  # about 256 columns a call, as the sweeps batch them
+            block, energy, orders = _bessel_rows(xs)
+            whole = xs.astype(np.int64)
+            cap = len(block) - 1 - whole.max()  # the rows run to int(x) + cap for the largest x
+            energy_margin.append((energy - whole).max())
+            order_margin.append((orders - whole).max())
+            assert max(energy_margin[-1], order_margin[-1]) < cap
+            # the amplitude rule, not the cap, stopped every column
+            assert (np.abs(block[orders + 1, np.arange(len(xs))]) < DEFAULT_TAIL_TOLERANCE).all()
+        assert (max(energy_margin), max(order_margin)) == (44, 75)

@@ -1391,24 +1391,45 @@ class TestOutputsAtOnePath:
     """Two outputs that name one path are refused before any file is opened."""
 
     @pytest.mark.parametrize(
-        "argv, shared",
+        "argv, shared, links",
         [
-            (["fm-path", "--out-csv", "o/a.log"], "o/a.log"),  # the default log path is the CSV's
-            (["fm-path", "--out-wav", "o/x", "--out-img", "o/x", "--out-csv", "o/a.csv"], "o/x"),
-            (["envelope-transfer", "--color", "20A0FF", "--out-gesture", "o/x", "--out-img", "o/./x"], "o/x"),
+            (["fm-path", "--out-csv", "o/a.log"], "o/a.log", {}),  # the default log path is the CSV's
+            (["fm-path", "--out-wav", "o/x", "--out-img", "o/x", "--out-csv", "o/a.csv"], "o/x", {}),
+            (["envelope-transfer", "--color", "20A0FF", "--out-gesture", "o/x", "--out-img", "o/./x"], "o/x", {}),
+            (["fm-path", "--out-wav", "o/p.wav", "--out-csv", "o/a.csv"], "o/p.wav", {"o/a.csv": "p.wav"}),
         ],
-        ids=["fm-path-csv-and-default-log", "fm-path-wav-and-img", "envelope-transfer-gesture-and-img"],
+        ids=["fm-path-csv-and-default-log", "fm-path-wav-and-img", "envelope-transfer-gesture-and-img",
+             "fm-path-csv-a-symlink-to-the-wav"],
     )
-    def test_exit_2_naming_the_path_and_no_file_written(self, tmp_path, monkeypatch, capsys, argv, shared):
+    def test_exit_2_naming_the_path_and_no_file_written(self, tmp_path, monkeypatch, capsys, argv, shared, links):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "o").mkdir()
         (tmp_path / shared).write_bytes(b"before the run")
+        for link, target in links.items():
+            (tmp_path / link).symlink_to(target)
         assert main(argv) == 2
         assert capsys.readouterr() == (
             "", f"error: two outputs name the same path {tmp_path / shared}\n"
         )
-        assert list((tmp_path / "o").iterdir()) == [tmp_path / shared]
+        assert sorted((tmp_path / "o").iterdir()) == sorted([tmp_path / shared, *map(tmp_path.joinpath, links)])
         assert (tmp_path / shared).read_bytes() == b"before the run"
+
+    def test_stdout_and_stderr_are_two_outputs_on_one_pipe(self, tmp_path):
+        """/dev/stdout and /dev/stderr keep their own names, so two outputs may go to one pipe."""
+        root = Path(__file__).resolve().parents[1]
+        done = subprocess.run(
+            [
+                sys.executable, "-m", "timbrecolor", "fm-path", "--i-end", "1", "--seg-dur", "0.01",
+                "--out-csv", "/dev/stdout", "--out-log", "/dev/stderr",
+            ],
+            cwd=tmp_path,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        )
+        assert done.returncode == 0, done.stdout
+        assert b"I,X,Y,Z,R,G,B\n" in done.stdout and b"command: fm-path\n" in done.stdout
+        assert sorted(os.listdir(tmp_path)) == ["fm_path.ppm", "fm_path.wav"]
 
 
 class TestParserBehavior:

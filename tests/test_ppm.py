@@ -162,6 +162,10 @@ class TestReadPPM:
             (b"P6\n3 2", "malformed PPM header"),
             (b"P6\n3 2\n", "malformed PPM header"),
             (b"P6\n3 2\n\n\n", "malformed PPM header"),
+            (b"P6\n-1 -3\n255\n" + PIXELS[:9], "malformed PPM header"),
+            (b"P6\n1e3 2\n255\n" + PIXELS, "malformed PPM header"),
+            (b"P6\n+2 3\n255\n" + PIXELS, "malformed PPM header"),
+            (b"P6\n3 1_0\n255\n" + PIXELS, "malformed PPM header"),
             (b"P5\n3 2\n255\n" + PIXELS, "only P6 with maxval 255 is supported"),
             (b"P6\n3 2\n65535\n" + PIXELS, "only P6 with maxval 255 is supported"),
             (b"P6\n3 2\n255" + PIXELS, "only P6 with maxval 255 is supported"),  # maxval runs on
@@ -170,6 +174,7 @@ class TestReadPPM:
         ],
         ids=[
             "empty", "whitespace-only", "no-maxval", "no-maxval-newline", "blank-lines",
+            "negative-size", "exponent-width", "signed-width", "underscored-height",
             "P5", "maxval-65535", "no-separator", "one-byte-short", "header-only",
         ],
     )

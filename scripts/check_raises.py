@@ -1,19 +1,22 @@
 #!/usr/bin/env python3
-"""Check that the test suite executes every `raise` statement in src/timbrecolor.
+"""Run the Tier-1 suite, and check that it executes every `raise` statement in src/timbrecolor.
 
 Usage:
     python scripts/check_raises.py [PYTEST_ARGS...]
 
-Runs the Tier-1 suite (tests/) in this process under a line tracer that
-records only frames of src/timbrecolor, in the main thread and in every
-thread started after it (threading.settrace).  Each `raise` statement is
-found with ast; it counts as reached when a line it spans was executed.
-Code run in a subprocess, such as `python -m timbrecolor`, is not traced.
+This is CI's one Tier-1 step: it gives the suite's verdict and the raises'
+in one run.  It runs tests/ in this process, under pyproject.toml's pytest
+settings (every warning an error), with a line tracer that records only
+frames of src/timbrecolor, in the main thread and in every thread started
+after it (threading.settrace).  Each `raise` statement is found with ast;
+it counts as reached when a line it spans was executed.  Code run in a
+subprocess, such as `python -m timbrecolor`, is not traced.
 
-Extra arguments go to pytest after the defaults (-q, -p no:cacheprovider,
-so no cache is written into the tree).  Exit status 0 when the suite
-passes and every raise is reached; otherwise 1, naming each raise that no
-test executed, or pytest's own status when the suite fails.
+Every argument goes to pytest, after the defaults (-q, -p no:cacheprovider,
+so no cache is written into the tree); CI passes
+--continue-on-collection-errors.  Exit status 0 when the suite passes and
+every raise is reached; pytest's own status when the suite fails, before
+any raise is checked; otherwise 1, naming each raise that no test executed.
 """
 
 from __future__ import annotations

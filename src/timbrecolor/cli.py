@@ -245,7 +245,7 @@ def _run_fm_path(s: dict[str, Any]) -> int:
     octave = OctaveMap(base_hz=s["base"], flip=s["flip_orientation"])
     # sweep, WAV rate, Bessel and path checks run before any color row; the threads start at the first block
     total, blocks = _fm_path_blocks(s["fc"], s["fm"], grid, s["seg_dur"], s["rate"])
-    wav = _wav_pieces(s["rate"], total, blocks)
+    wav = _wav_pieces(s["rate"], total, blocks)  # np.sin of finite arguments: in [-1, 1], so unchecked
     _validate_arguments(grid)
     log_path = s["out_log"] or s["out_csv"].removesuffix(Path(s["out_csv"]).suffix) + ".log"
     _check_outputs(s["out_wav"], s["out_csv"], s["out_img"], log_path)

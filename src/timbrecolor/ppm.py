@@ -13,12 +13,13 @@ __all__ = ["write_ppm", "read_ppm"]
 
 
 def _check_outputs(*paths) -> None:
-    """Refuse two outputs at one real path (a device such as /dev/stdout keeps its own name), and with
+    """Refuse two outputs at one file (by inode, so hard links too; /dev/stdout and the like by name), and with
     open's own error a path that open refuses: empty, a directory, or under a missing directory or a file."""
     real = [os.path.realpath(p) if os.path.isfile(p) or not os.path.exists(p) else os.path.abspath(p)
             for p in paths]
-    if len(set(real)) < len(real):
-        raise ValueError(f"two outputs name the same path {max(real, key=real.count)}")
+    keys = [os.stat(p)[1:3] if os.path.isfile(p) else r for p, r in zip(paths, real)]
+    if len(set(keys)) < len(keys):
+        raise ValueError(f"two outputs name the same path {real[keys.index(max(keys, key=keys.count))]}")
     for name in map(os.fspath, paths):
         try:  # "" fails with ENOENT, and the trailing slash makes a directory that is a file fail with ENOTDIR
             os.stat(os.path.join(os.path.dirname(name) or (name and "."), ""))

@@ -1396,17 +1396,19 @@ class TestOutputsAtOnePath:
             (["fm-path", "--out-csv", "o/a.log"], "o/a.log", {}),  # the default log path is the CSV's
             (["fm-path", "--out-wav", "o/x", "--out-img", "o/x", "--out-csv", "o/a.csv"], "o/x", {}),
             (["envelope-transfer", "--color", "20A0FF", "--out-gesture", "o/x", "--out-img", "o/./x"], "o/x", {}),
-            (["fm-path", "--out-wav", "o/p.wav", "--out-csv", "o/a.csv"], "o/p.wav", {"o/a.csv": "p.wav"}),
+            (["fm-path", "--out-wav", "o/p.wav", "--out-csv", "o/a.csv"], "o/p.wav", {"o/a.csv": ("symlink_to", "p.wav")}),
+            (["fm-path", "--i-end", "1", "--seg-dur", "0.01", "--out-wav", "o/p.wav", "--out-img", "o/p.ppm",
+              "--out-csv", "o/a.csv"], "o/p.wav", {"o/a.csv": ("hardlink_to", "o/p.wav")}),
         ],
         ids=["fm-path-csv-and-default-log", "fm-path-wav-and-img", "envelope-transfer-gesture-and-img",
-             "fm-path-csv-a-symlink-to-the-wav"],
+             "fm-path-csv-a-symlink-to-the-wav", "fm-path-csv-a-hard-link-to-the-wav"],
     )
     def test_exit_2_naming_the_path_and_no_file_written(self, tmp_path, monkeypatch, capsys, argv, shared, links):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "o").mkdir()
         (tmp_path / shared).write_bytes(b"before the run")
-        for link, target in links.items():
-            (tmp_path / link).symlink_to(target)
+        for link, (make, target) in links.items():  # a symlink's target is relative to its directory
+            getattr(tmp_path / link, make)(target)
         assert main(argv) == 2
         assert capsys.readouterr() == (
             "", f"error: two outputs name the same path {tmp_path / shared}\n"

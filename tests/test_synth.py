@@ -279,6 +279,15 @@ class TestFMPathBlocks:
         assert np.concatenate(blocks).tobytes() == want.tobytes()
         assert render_fm_path(440.0, 880.0, grid, seg_dur, rate).samples.tobytes() == want.tobytes()
 
+    def test_blocks_lie_in_the_unit_interval_at_the_top_index_near_nyquist(self):
+        """The WAV encoder does not check fm-path's samples: the render is np.sin of finite values."""
+        fc, fm = np.nextafter(RATE / 2.0, 0.0), RATE / 2.0 - 1.0  # fc = fm = RATE / 2 would give sin(pi k) = 0
+        total, blocks = synth._fm_path_blocks(fc, fm, [999.5, 1000.0], 2.0, RATE)
+        blocks = list(blocks)
+        assert sum(map(len, blocks)) == total == 4 * RATE
+        assert all(b.min() >= -1.0 and b.max() <= 1.0 for b in blocks)  # a NaN fails too
+        assert min(b.min() for b in blocks) < -0.999 and max(b.max() for b in blocks) > 0.999
+
     @pytest.mark.parametrize(
         "args, message",
         [

@@ -129,15 +129,6 @@ class TestBlockWriter:
             write_wav(wave, path)
         assert path.read_bytes() == b"previous contents"
 
-    @pytest.mark.parametrize("bad", [1.0000001, -2.0, np.nan, np.inf])
-    def test_a_bad_later_block_removes_the_partial_file(self, tmp_path, bad):
-        path = tmp_path / "partial.wav"
-        path.write_bytes(b"previous contents")
-        blocks = [np.zeros(4), np.array([0.5, bad])]
-        with pytest.raises(ValueError, match=r"^samples exceed \[-1, 1\]; normalize before writing$"):
-            _write((path, _wav_pieces(8000, 6, blocks)))
-        assert not path.exists()
-
     def test_an_interrupted_write_removes_the_partial_file(self, tmp_path):
         def blocks():
             yield np.zeros(4)
@@ -167,11 +158,15 @@ class TestBlockWriter:
         assert not path.exists()
 
     def test_a_symlink_is_not_removed(self, tmp_path):
+        def blocks():
+            yield np.zeros(4)
+            raise ValueError("second block")
+
         target = tmp_path / "target.wav"
         link = tmp_path / "link.wav"
         link.symlink_to(target)
         with pytest.raises(ValueError):
-            _write((link, _wav_pieces(8000, 6, [np.zeros(4), np.array([2.0, 0.0])])))
+            _write((link, _wav_pieces(8000, 6, blocks())))
         assert link.is_symlink()
 
 

@@ -1399,9 +1399,14 @@ class TestOutputsAtOnePath:
             (["fm-path", "--out-wav", "o/p.wav", "--out-csv", "o/a.csv"], "o/p.wav", {"o/a.csv": ("symlink_to", "p.wav")}),
             (["fm-path", "--i-end", "1", "--seg-dur", "0.01", "--out-wav", "o/p.wav", "--out-img", "o/p.ppm",
               "--out-csv", "o/a.csv"], "o/p.wav", {"o/a.csv": ("hardlink_to", "o/p.wav")}),
+            (["fm-path", "--out-wav", "o/p.wav", "--out-csv", "o/a.csv"], "o/p.wav",
+             {"o/q.wav": ("hardlink_to", "o/p.wav"), "o/a.csv": ("symlink_to", "q.wav")}),
+            (["envelope-transfer", "--color", "20A0FF", "--out-gesture", "o/g.txt", "--out-img", "o/s.ppm"], "o/g.txt",
+             {"o/s.ppm": ("hardlink_to", "o/g.txt")}),
         ],
         ids=["fm-path-csv-and-default-log", "fm-path-wav-and-img", "envelope-transfer-gesture-and-img",
-             "fm-path-csv-a-symlink-to-the-wav", "fm-path-csv-a-hard-link-to-the-wav"],
+             "fm-path-csv-a-symlink-to-the-wav", "fm-path-csv-a-hard-link-to-the-wav",
+             "fm-path-csv-a-symlink-to-a-hard-link-of-the-wav", "envelope-transfer-img-a-hard-link-to-the-gesture"],
     )
     def test_exit_2_naming_the_path_and_no_file_written(self, tmp_path, monkeypatch, capsys, argv, shared, links):
         monkeypatch.chdir(tmp_path)

@@ -101,7 +101,7 @@ def bessel_j(order: int, argument: float) -> float:
     J_{-n}(x) = (-1)^n J_n(x).  One column of _miller_rows.  Orders above 2000
     are refused: J_n(x) is 0.0 in float64 for every n >= 1874 at x = 1000.
     """
-    if order != int(order) or isinstance(order, float):
+    if isinstance(order, float) or order != int(order):
         raise ValueError(f"Bessel order must be an integer, got {order!r}")
     order = int(order)
     if order < 0:

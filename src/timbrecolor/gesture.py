@@ -222,7 +222,7 @@ def concatenate(first: SampledPath, second: SampledPath) -> SampledPath:
 
 
 def linear_band(from_path: SampledPath, to_path: SampledPath, row_count: int) -> Band:
-    """Straight-line homotopy between two paths sharing both endpoints.
+    """Straight-line homotopy between two paths sharing both endpoints; Band checks that.
 
     Row j is the affine mix ((K-1-j)*from + j*to) / (K-1); the boundary
     rows are returned as the inputs themselves so they match exactly.
@@ -231,10 +231,6 @@ def linear_band(from_path: SampledPath, to_path: SampledPath, row_count: int) ->
         raise ValueError(f"band needs at least 2 rows, got {row_count}")
     if from_path.points.shape != to_path.points.shape:
         raise ValueError(f"paths must share shape, got {from_path.points.shape} and {to_path.points.shape}")
-    if not _close(from_path.start, to_path.start) or not _close(
-        from_path.end, to_path.end
-    ):
-        raise EndpointError("linear band requires paths sharing both endpoints")
     k = row_count - 1
     inner = [SampledPath(points=((k - j) * from_path.points + j * to_path.points) / k)
              for j in range(1, k)]

@@ -173,9 +173,9 @@ def render_fm_path(
     Each segment covers its half-open time slice on the global clock, so
     carrier and modulator phases accumulate exactly across boundaries and a
     boundary adds only the index step, inaudible for small steps.
-    High indices are rendered as given even when their faintest sidebands
-    pass Nyquist; the energy-significant content of the sweep range stays
-    in band at ordinary rates and the sweep is the product being studied.
+    High indices are rendered as given, so sidebands at or above Nyquist
+    alias in the samples (on the default sweep, 117 of 201 rows, from
+    I = 8.4), while fm-path's colors keep them at their true frequencies.
     """
     total, blocks = _fm_path_blocks(
         carrier_hz, modulator_hz, index_grid, segment_duration_sec, sample_rate
@@ -296,7 +296,7 @@ def _analyze_blocks(
         raise ValueError(
             f"fundamental {f0} Hz is at or above Nyquist {rate / 2.0} Hz"
         )
-    if int(max_harmonic) != max_harmonic or max_harmonic < 1:
+    if not 1 <= max_harmonic < math.inf or int(max_harmonic) != max_harmonic:
         raise ValueError(f"max harmonic must be a positive integer, got {max_harmonic!r}")
     max_harmonic = int(max_harmonic)
     if max_harmonic * f0 >= rate / 2.0:

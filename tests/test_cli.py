@@ -617,11 +617,15 @@ class TestConfigFile:
         assert main(["fm-path", "--config", str(cfg)]) == 2
         assert "key=value" in capsys.readouterr().err
 
-    def test_bad_value_type_fails(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "line, message",
+        [("rate = fast", "key 'rate' expects int, got ' fast'"), ("fc = abc", "key 'fc' expects float, got ' abc'")],
+    )
+    def test_bad_value_type_fails(self, tmp_path, capsys, line, message):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("rate = fast\n")
+        cfg.write_text(line + "\n")
         assert main(["fm-path", "--config", str(cfg)]) == 2
-        assert "rate" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: config line 1: {message}\n"
 
     def test_boolean_values(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -1132,17 +1136,23 @@ class TestEnvelopeTransferCommand:
         assert (tmp_path / "g.txt").stat().st_size > path_bytes  # more text than paths
         assert peak < 1.5 * path_bytes
 
-    def test_oversized_envelope_fails_before_any_path_is_built(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize(
+        "samples, message",
+        [("10000000", "size guard: 40000000 path points exceeds cap 1000000"),
+         ("1", "need at least 2 samples per segment, got 1"),
+         ("-1", "need at least 2 samples per segment, got -1")],
+    )
+    def test_a_refused_sample_count_builds_no_path(self, tmp_path, monkeypatch, capsys, samples, message):
         def never(*args, **kwargs):
-            raise AssertionError("path samples built for an oversized envelope")
+            raise AssertionError("path samples built for a refused envelope")
 
         monkeypatch.setattr(gesture.np, "linspace", never)
         args = [
-            "envelope-transfer", "--color", "20A0FF", "--samples-per-segment", "10000000",
+            "envelope-transfer", "--color", "20A0FF", f"--samples-per-segment={samples}",
             "--out-gesture", str(tmp_path / "g.txt"), "--out-img", str(tmp_path / "s.ppm"),
         ]
         assert main(args) == 2
-        assert "size guard: 40000000 path points exceeds cap 1000000" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
 

@@ -131,8 +131,9 @@ class TestPathOperations:
         p = constant_path([1.0, 2.0], sample_count=5)
         assert p.sample_count == 5
         assert np.all(p.points == [1.0, 2.0])
-        with pytest.raises(ValueError):
-            constant_path([1.0], sample_count=1)
+        for count in (1, -1):
+            with pytest.raises(ValueError, match=rf"^need at least 2 samples, got {count}$"):
+                constant_path([1.0], sample_count=count)
 
     def test_reverse_is_an_involution(self):
         rng = np.random.default_rng(3)
@@ -545,16 +546,17 @@ class TestADSR:
                 assert level == pytest.approx(want, abs=1e-12)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^attack level must lie in \[0, 1\], got 1.5$"):
             adsr_gesture(1.5, 0.5, [0.1, 0.1, 0.1, 0.1])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^sustain level must lie in \[0, 1\], got -0.1$"):
             adsr_gesture(1.0, -0.1, [0.1, 0.1, 0.1, 0.1])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^need 4 stage durations, got 3$"):
             adsr_gesture(1.0, 0.5, [0.1, 0.1, 0.1])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^stage 1 duration must be positive, got 0.0 "):
             adsr_gesture(1.0, 0.5, [0.1, 0.0, 0.1, 0.1])
-        with pytest.raises(ValueError):
-            adsr_gesture(1.0, 0.5, [0.1, 0.1, 0.1, 0.1], samples_per_segment=1)
+        for count in (1, -1):
+            with pytest.raises(ValueError, match=rf"^need at least 2 samples per segment, got {count}$"):
+                adsr_gesture(1.0, 0.5, [0.1, 0.1, 0.1, 0.1], samples_per_segment=count)
 
     def test_path_size_guard_runs_before_any_path_is_built(self, monkeypatch):
         class Built(Exception):

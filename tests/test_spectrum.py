@@ -63,19 +63,20 @@ class TestLineSpectrum:
             LineSpectrum([], [], dc_term=math.nan)
 
     @pytest.mark.parametrize(
-        "freqs, amps, phases",
+        "freqs, amps, phases, message",
         [
-            ([100.0, 200.0], [1.0], None),
-            ([100.0], [1.0], [0.0, 0.0]),
-            ([[100.0, 200.0]], [[1.0, 1.0]], None),
-            ([100.0], [math.nan], None),
-            ([100.0], [1.0], [TWO_PI]),
-            ([-100.0], [1.0], None),
+            ([100.0, 200.0], [1.0], None, "line array lengths differ: 2, 1, 2"),
+            ([100.0], [1.0], [0.0, 0.0], "line array lengths differ: 1, 1, 2"),
+            ([[100.0, 200.0]], [[1.0, 1.0]], None, "frequencies must be 1-D, got shape (1, 2)"),
+            ([100.0], [math.nan], None, "line amplitude must be finite, got nan"),
+            ([100.0], [1.0], [TWO_PI], f"line phase must lie in [0, 2*pi), got {TWO_PI!r}"),
+            ([-100.0], [1.0], None, "line frequency must be finite and >= 0, got -100.0"),
         ],
     )
-    def test_rejects_malformed_arrays(self, freqs, amps, phases):
-        with pytest.raises(ValueError):
+    def test_rejects_malformed_arrays(self, freqs, amps, phases, message):
+        with pytest.raises(ValueError) as info:
             LineSpectrum(freqs, amps, phases)
+        assert str(info.value) == message
 
     def test_phases_default_to_zero_and_arrays_are_read_only(self):
         spec = LineSpectrum([100.0, 300.0], [0.25, -0.5])

@@ -741,8 +741,11 @@ class TestStreamedFold:
 
     @pytest.mark.parametrize(
         "f0, max_harmonic, message",
-        [(0.0, 4, "fundamental must be positive"), (RATE / 2.0, 1, "Nyquist"),
-         (440.0, 51, "Nyquist"), (440.0, 0, "max harmonic"), (440.0, 4, "too short")],
+        [(0.0, 4, "fundamental must be positive"),
+         (RATE / 2.0, 1, rf"^fundamental {RATE / 2.0} Hz is at or above Nyquist {RATE / 2.0} Hz$"),
+         (440.0, 51, "Nyquist"), (440.0, 0, "max harmonic"), (440.0, 4, "too short"),
+         (440.0, math.inf, r"^max harmonic must be a positive integer, got inf$"),
+         (440.0, math.nan, r"^max harmonic must be a positive integer, got nan$")],
     )
     def test_argument_errors_come_before_any_block_is_read(self, f0, max_harmonic, message):
         def never():

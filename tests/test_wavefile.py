@@ -337,6 +337,13 @@ class TestMalformedFiles:
         with pytest.raises(WavFormatError, match="sample rate"):
             read_wav(path)
 
+    @pytest.mark.parametrize("size", [8, 14])
+    def test_short_fmt_chunk_names_its_size(self, tmp_path, size):
+        path = riff_file(tmp_path / "short.wav", chunk(b"fmt ", FMT[:size]), chunk(b"data", b"\x00\x00"))
+        with pytest.raises(WavFormatError) as info:
+            read_wav(path)
+        assert str(info.value) == f"'fmt ' chunk holds {size} bytes, need at least 16"
+
 
 def chunk(chunk_id, body):
     """One RIFF chunk, padded to an even length."""

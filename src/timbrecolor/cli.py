@@ -33,7 +33,7 @@ from .color import spectrum_to_xyz, standard_observer, xyz_to_srgb
 from .gesture import _gesture_text, _map_rows, adsr_gesture
 from .ppm import _check_outputs, _ppm_pieces, _write
 from .spectrum import _fold_rows, _sideband_rows
-from .synth import _analyze_blocks, _check_size, _fm_path_blocks, _segment_samples
+from .synth import _analyze_blocks, _check_size, _check_sweep, _segment_samples, _sweep_codes
 from .wavefile import _read_pcm16, _wav_pieces
 
 __all__ = ["main"]
@@ -243,9 +243,10 @@ def _run_fm_path(s: dict[str, Any]) -> int:
     _check_size(seg * _grid_count(s["i_start"], s["i_end"], s["i_step"]))
     grid = build_index_grid(s["i_start"], s["i_end"], s["i_step"])
     octave = OctaveMap(base_hz=s["base"], flip=s["flip_orientation"])
-    # sweep, WAV rate, Bessel and path checks run before any color row; the threads start at the first block
-    total, blocks = _fm_path_blocks(s["fc"], s["fm"], grid, s["seg_dur"], s["rate"])
-    wav = _wav_pieces(s["rate"], total, blocks)  # np.sin of finite arguments: in [-1, 1], so unchecked
+    # sweep, WAV rate, Bessel and path checks run before any color row; the render starts at the first block
+    sweep = _check_sweep(s["fc"], s["fm"], grid, s["seg_dur"], s["rate"])  # (fc, fm, grid, seg, rate)
+    total = seg * len(grid)
+    wav = _wav_pieces(s["rate"], total, _sweep_codes(*sweep))
     _validate_arguments(grid)
     log_path = s["out_log"] or s["out_csv"].removesuffix(Path(s["out_csv"]).suffix) + ".log"
     _check_outputs(s["out_wav"], s["out_csv"], s["out_img"], log_path)

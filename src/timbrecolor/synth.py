@@ -1,13 +1,9 @@
 """FM synthesis in the time domain, plus harmonic analysis of samples.
 
-The voice is sin(2*pi*fc*t + I*sin(2*pi*fm*t)).  A sweep of modulation
-indices (render_fm_path) comes out in fixed-size blocks, one ahead of the
-consumer: sample k plays grid[k // seg] at time k / rate, one chunk per task
-on two threads, in place and with the float operations of one thread.  At
-most three blocks and two chunk buffers per thread are alive, so the render's
-memory does not grow with the sweep.  Analysis (analyze_harmonics) inverts
-synthesis for periodic signals: it projects a window of whole periods onto
-the harmonics of a known fundamental.
+The voice is sin(2*pi*fc*t + I*sin(2*pi*fm*t)), rendered a block at a time;
+fm-path's WAV copies PCM16 codes from one period per segment where a derived
+guard allows.  Analysis (analyze_harmonics) projects a window of whole periods
+onto the harmonics of a known fundamental.
 """
 
 from __future__ import annotations
@@ -34,8 +30,7 @@ AMPLITUDE_FLOOR = 1e-6
 # caps fm-path's time and disk; its audio and its image stream in blocks
 MAX_RENDER_SAMPLES = 100_000_000
 _BLOCK_SAMPLES = 2**16  # samples per block: fm-path audio, the WAV reader, the fold
-_CHUNK_SAMPLES = 2**14  # per FM evaluation in fm-path's threads; 2**12 lost their gain to the GIL
-_RENDER_THREADS = 2  # they overlap inside np.sin, which releases the GIL
+_UNSET = -32768  # the PCM16 code no sample in [-1, 1] quantizes to: marks one for the reference
 _MIN_ANALYSIS_PERIODS = 10
 
 
@@ -120,9 +115,8 @@ def _segment_samples(segment_duration_sec: float, sample_rate: int) -> int:
     return seg
 
 
-def _fm_path_blocks(carrier_hz, modulator_hz, index_grid, segment_duration_sec, sample_rate) -> tuple:
-    """Check a sweep as render_fm_path does, then return its sample count and its
-    samples as float64 blocks of _BLOCK_SAMPLES (the last may be shorter)."""
+def _check_sweep(carrier_hz, modulator_hz, index_grid, segment_duration_sec, sample_rate) -> tuple:
+    """A sweep checked as render_fm_path checks it: (fc, fm, grid, seg, rate), seg samples per index."""
     rate = _validate_rate(sample_rate)
     fc, fm, grid = _check_voice(carrier_hz, modulator_hz, index_grid, rate)
     if not len(grid):
@@ -131,37 +125,40 @@ def _fm_path_blocks(carrier_hz, modulator_hz, index_grid, segment_duration_sec, 
         a, b = grid[np.argmin(ascends) :][:2].tolist()  # the first pair that does not
         raise ValueError(f"index grid must ascend, got {a} then {b}")
     seg = _segment_samples(segment_duration_sec, rate)
-    total = seg * len(grid)
-    _check_size(total)
+    _check_size(seg * len(grid))
+    return fc, fm, grid, seg, rate
 
-    def fill(out: np.ndarray, start: int) -> None:
-        """Samples start, start + 1, ... of the sweep into out: sample k plays grid[k // seg]."""
-        k = np.arange(start, start + len(out))
-        np.divide(k, rate, out=out)
-        index = grid[np.floor_divide(k, seg, out=k)]
-        del k  # freed before _fm_wave allocates its scratch
-        _fm_wave(out, fc, fm, index)
 
-    def blocks():
-        from concurrent.futures import ThreadPoolExecutor  # here, so importing the package stays cheap
-
-        def submit(pool, start: int) -> tuple:
-            out = np.empty(min(_BLOCK_SAMPLES, total - start))
-            tasks = [pool.submit(fill, out[i : i + _CHUNK_SAMPLES], start + i)
-                     for i in range(0, len(out), _CHUNK_SAMPLES)]
-            return out, tasks
-
-        with ThreadPoolExecutor(_RENDER_THREADS) as pool:  # its exit, on close too, joins them
-            ahead = submit(pool, 0)
-            for start in range(_BLOCK_SAMPLES, total + _BLOCK_SAMPLES, _BLOCK_SAMPLES):
-                out, tasks = ahead
-                if start < total:
-                    ahead = submit(pool, start)
-                for task in tasks:
-                    task.result()  # a task's exception is raised here, at its block
-                yield out
-
-    return total, blocks()
+def _sweep_codes(fc: float, fm: float, grid: np.ndarray, seg: int, rate: int, start: int = 0):
+    """The PCM16 codes of sweep samples start, start + 1, ..., in '<i2' blocks of _BLOCK_SAMPLES."""
+    from .wavefile import _SCALE, _pcm16, _quantizer_input  # here: wavefile imports this module
+    period = rate // math.gcd(int(fc), int(fm), rate) if fc.is_integer() and fm.is_integer() else seg + 1
+    q = np.arange(period if period <= min(seg, _BLOCK_SAMPLES // 2) else 0) / rate  # sample k reads q = k mod P
+    mod, car = np.sin(q * (_TWO_PI * fm)), q * (_TWO_PI * fc)  # the modulator's sine, once per sweep
+    for begin in range(start, seg * len(grid), _BLOCK_SAMPLES):
+        end = min(begin + _BLOCK_SAMPLES, seg * len(grid))
+        first, index = begin // seg, grid[begin // seg : (end - 1) // seg + 1]  # the block's segments
+        t, top = max(end - 1, period) / rate, index.max()  # the block's last time t and largest index I
+        # The guard (u = 2**-53; np.sin within 4 ulp, 8 u on [-1, 1]; |sin a - sin b| <= |a - b|): the reference
+        # (time k / rate) and the table (q / rate, whole turns (k - q) f / rate before it) round the time, 2*pi,
+        # 2*pi*f and their product: each phase 2 pi f t is within 4.01 u 2 pi f t of exact, turns included.  I sin
+        # is off by at most I (4.01 u 2 pi fm t + 8 u) + u I, the sum adds u (2 pi fc t + I), the outer sine 8 u:
+        # each value is within E = u (5.02 * 2 pi fc t + 4.01 I 2 pi fm t + 10.01 I + 8) of exact.  v * 32767 + 0.5
+        # rounds twice within u 32768: beyond 32767 (2 E + 4.01 u) of an integer both quantizer inputs floor alike.
+        window = 2.0**-52 * _SCALE * (_TWO_PI * t * (5.02 * fc + 4.01 * top * fm) + 10.01 * top + 10.005)
+        codes = np.full(end - begin, _UNSET, dtype="<i2")
+        if len(q):  # each segment copies its table; a window of half a code marks every sample
+            phases = np.add(np.multiply.outer(index, mod), car)
+            tables = np.floor(_quantizer_input(np.sin(phases, out=phases), phases)).astype("<i2")
+            tables[np.abs(phases - np.rint(phases)) <= window] = _UNSET  # phases now holds the quantizer inputs
+            for s, table in enumerate(tables, first):
+                a, b = max(begin, s * seg), min(end, s * seg + seg)
+                copies = np.concatenate((table,) * -(-(b - a + a % period) // period))
+                codes[a - begin : b - begin] = copies[a % period :][: b - a]
+        k = begin + np.flatnonzero(codes == _UNSET)  # these take the reference's code, from write_wav's encoder
+        for piece in _pcm16([_fm_wave(k / rate, fc, fm, grid[k // seg])]):  # one piece, or none
+            codes[k - begin] = piece
+        yield codes
 
 
 def render_fm_path(
@@ -177,10 +174,12 @@ def render_fm_path(
     alias in the samples (on the default sweep, 117 of 201 rows, from
     I = 8.4), while fm-path's colors keep them at their true frequencies.
     """
-    total, blocks = _fm_path_blocks(
-        carrier_hz, modulator_hz, index_grid, segment_duration_sec, sample_rate
-    )
-    return SampledWave(sample_rate=sample_rate, samples=_gather(total, blocks))
+    fc, fm, grid, seg, rate = _check_sweep(carrier_hz, modulator_hz, index_grid, segment_duration_sec, sample_rate)
+    out = np.empty(seg * len(grid))
+    for begin, block in zip(range(0, len(out), _BLOCK_SAMPLES), _views(out)):  # computed in place
+        k = np.arange(begin, begin + len(block))  # sample k plays grid[k // seg] at k / rate
+        _fm_wave(np.divide(k, rate, out=block), fc, fm, grid[k // seg])
+    return SampledWave(sample_rate=rate, samples=out)
 
 
 def render_fm_wave(
@@ -194,7 +193,7 @@ def render_fm_wave(
     Nyquist frequency.
     """
     fc, fm, index = params.carrier_hz, params.modulator_hz, params.modulation_index
-    total, blocks = _fm_path_blocks(fc, fm, [index], duration_sec, sample_rate)
+    _check_sweep(fc, fm, [index], duration_sec, sample_rate)  # render_fm_path's checks, before the guard
     n_side = energy_order(index)
     top = fc + n_side * fm
     if top >= sample_rate / 2.0:
@@ -202,19 +201,11 @@ def render_fm_wave(
             f"aliasing guard: sideband at {top} Hz (order {n_side}) reaches "
             f"Nyquist {sample_rate / 2.0} Hz"
         )
-    return SampledWave(sample_rate=sample_rate, samples=_gather(total, blocks))
-
-
-def _gather(count: int, blocks) -> np.ndarray:
-    """count samples, given as blocks of _BLOCK_SAMPLES (the last may be shorter), in one array."""
-    out = np.empty(count, dtype=np.float64)
-    for k, block in enumerate(blocks):
-        out[k * _BLOCK_SAMPLES :][: len(block)] = block
-    return out
+    return render_fm_path(fc, fm, [index], duration_sec, sample_rate)
 
 
 def _views(samples: np.ndarray):
-    """samples as views of _BLOCK_SAMPLES (the last may be shorter): the blocks _gather joins."""
+    """samples as views of _BLOCK_SAMPLES (the last may be shorter)."""
     return (samples[k : k + _BLOCK_SAMPLES] for k in range(0, len(samples), _BLOCK_SAMPLES))
 
 

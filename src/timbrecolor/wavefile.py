@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .ppm import _write
-from .synth import _BLOCK_SAMPLES, SampledWave, _gather, _views
+from .synth import _BLOCK_SAMPLES, SampledWave, _views
 
 __all__ = ["WavFormatError", "write_wav", "read_wav"]
 
@@ -35,19 +35,24 @@ def write_wav(wave: SampledWave, path: str | Path) -> None:
     """Write samples as 16-bit PCM mono; inputs must lie in [-1, 1], checked before the path opens."""
     if not (wave.samples.min(initial=0.0) >= -1.0 and wave.samples.max(initial=0.0) <= 1.0):  # a NaN fails too
         raise ValueError("samples exceed [-1, 1]; normalize before writing")
-    _write((path, _wav_pieces(wave.sample_rate, len(wave.samples), [wave.samples])))
+    _write((path, _wav_pieces(wave.sample_rate, len(wave.samples), _pcm16([wave.samples]))))
+
+
+def _quantizer_input(block: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """block * 32767 + 0.5 into out: its floor is each sample's PCM16 code."""
+    return np.add(np.multiply(block, _SCALE, out=out), 0.5, out=out)
 
 
 def _pcm16(blocks):
     """Quantize float64 blocks of any length, each view of _BLOCK_SAMPLES into a fresh int16 array."""
     scratch = np.empty(_BLOCK_SAMPLES)  # reused: fresh float64 temporaries fault their pages in again
     for block in (view for whole in blocks for view in _views(whole)):
-        x = scratch[: len(block)]
-        yield np.floor(np.add(np.multiply(block, _SCALE, out=x), 0.5, out=x), out=x).astype("<i2")
+        x = _quantizer_input(block, scratch[: len(block)])
+        yield np.floor(x, out=x).astype("<i2")
 
 
-def _wav_pieces(rate: int, count: int, blocks):
-    """The pieces of a WAV file of count samples from float64 blocks in [-1, 1]; the rate is refused at the call."""
+def _wav_pieces(rate: int, count: int, codes):
+    """The pieces of a WAV file of count samples from blocks of '<i2' codes; the rate is refused at the call."""
     if rate > 2**31 - 1:  # the header holds rate and its byte rate, 2 * rate, in 32 bits
         raise ValueError(f"sample rate {rate} exceeds the WAV limit of 2147483647")
     header = struct.pack(
@@ -55,7 +60,7 @@ def _wav_pieces(rate: int, count: int, blocks):
         _PCM_FORMAT, _CHANNELS, rate, rate * _CHANNELS * (_BITS // 8),
         _CHANNELS * (_BITS // 8), _BITS, b"data", 2 * count,
     )
-    return (piece for pieces in ([header], _pcm16(blocks)) for piece in pieces)
+    return (piece for pieces in ([header], codes) for piece in pieces)
 
 
 @contextlib.contextmanager
@@ -144,5 +149,7 @@ def _pcm16_blocks(fh, count: int):
 def read_wav(path: str | Path) -> SampledWave:
     """Read a 16-bit PCM mono WAV; anything else is rejected by name."""
     with _read_pcm16(path) as (rate, count, blocks):
-        samples = _gather(count, blocks)
+        samples = np.empty(count)
+        for view, block in zip(_views(samples), blocks):
+            view[:] = block
     return SampledWave(sample_rate=rate, samples=samples)

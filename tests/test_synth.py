@@ -6,6 +6,7 @@ import re
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,9 @@ from timbrecolor.synth import (
     render_fm_path,
     render_fm_wave,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+import check_fm_pcm  # noqa: E402
 
 TWO_PI = 2.0 * math.pi
 RATE = 44100
@@ -268,25 +272,26 @@ class TestFMPathBlocks:
         ],
     )
     def test_blocks_end_to_end_equal_the_segment_loop(self, grid, seg_dur, rate):
-        total, blocks = synth._fm_path_blocks(440.0, 880.0, grid, seg_dur, rate)
-        blocks = list(blocks)
+        sweep = synth._check_sweep(440.0, 880.0, grid, seg_dur, rate)
+        blocks = list(synth._sweep_codes(*sweep))
         seg = int(round(seg_dur * rate))
-        assert total == seg * len(grid)
+        assert sweep[3] == seg
         assert [len(b) for b in blocks[:-1]] == [self.BLOCK] * (len(blocks) - 1)
         assert 0 < len(blocks[-1]) <= self.BLOCK
-        assert all(b.dtype == np.float64 for b in blocks)
+        assert all(b.dtype == np.dtype("<i2") for b in blocks)
         want = segment_loop(440.0, 880.0, grid, seg, rate)
-        assert np.concatenate(blocks).tobytes() == want.tobytes()
+        assert np.concatenate(blocks).tobytes() == pcm_codes(want).tobytes()
         assert render_fm_path(440.0, 880.0, grid, seg_dur, rate).samples.tobytes() == want.tobytes()
 
     def test_blocks_lie_in_the_unit_interval_at_the_top_index_near_nyquist(self):
-        """The WAV encoder does not check fm-path's samples: the render is np.sin of finite values."""
+        """The WAV encoder does not check fm-path's codes: the render is np.sin of finite values."""
         fc, fm = np.nextafter(RATE / 2.0, 0.0), RATE / 2.0 - 1.0  # fc = fm = RATE / 2 would give sin(pi k) = 0
-        total, blocks = synth._fm_path_blocks(fc, fm, [999.5, 1000.0], 2.0, RATE)
-        blocks = list(blocks)
-        assert sum(map(len, blocks)) == total == 4 * RATE
-        assert all(b.min() >= -1.0 and b.max() <= 1.0 for b in blocks)  # a NaN fails too
-        assert min(b.min() for b in blocks) < -0.999 and max(b.max() for b in blocks) > 0.999
+        samples = render_fm_path(fc, fm, [999.5, 1000.0], 2.0, RATE).samples
+        assert len(samples) == 4 * RATE
+        assert samples.min() >= -1.0 and samples.max() <= 1.0  # a NaN fails too
+        assert samples.min() < -0.999 and samples.max() > 0.999
+        codes = synth._sweep_codes(*synth._check_sweep(fc, fm, [999.5, 1000.0], 2.0, RATE))
+        assert np.concatenate(list(codes)).tobytes() == pcm_codes(samples).tobytes()
 
     @pytest.mark.parametrize(
         "args, message",
@@ -298,7 +303,7 @@ class TestFMPathBlocks:
     )
     def test_checks_run_before_the_iterator_is_returned(self, args, message):
         with pytest.raises(ValueError, match=message):
-            synth._fm_path_blocks(*args)
+            synth._check_sweep(*args)
 
     @pytest.mark.parametrize(
         "grid, a, b",
@@ -312,7 +317,7 @@ class TestFMPathBlocks:
     )
     def test_a_grid_that_does_not_ascend_names_its_first_pair(self, grid, a, b):
         with pytest.raises(ValueError, match=f"^index grid must ascend, got {re.escape(a)} then {re.escape(b)}$"):
-            synth._fm_path_blocks(440.0, 880.0, grid, 0.01, RATE)
+            synth._check_sweep(440.0, 880.0, grid, 0.01, RATE)
 
     def test_the_ascent_check_names_the_pair_a_loop_finds(self):
         rng = np.random.default_rng(7)
@@ -321,10 +326,10 @@ class TestFMPathBlocks:
             grid = (grid - grid.min()).tolist()
             bad = [(a, b) for a, b in zip(grid, grid[1:]) if not b > a]
             if not bad:
-                synth._fm_path_blocks(440.0, 880.0, grid, 0.001, RATE)
+                synth._check_sweep(440.0, 880.0, grid, 0.001, RATE)
                 continue
             with pytest.raises(ValueError) as raised:
-                synth._fm_path_blocks(440.0, 880.0, grid, 0.001, RATE)
+                synth._check_sweep(440.0, 880.0, grid, 0.001, RATE)
             assert str(raised.value) == f"index grid must ascend, got {bad[0][0]} then {bad[0][1]}"
 
     def test_the_render_cap_is_unchanged(self):
@@ -350,23 +355,17 @@ class TestFMPathBlocks:
             return real(t, *args)
 
         monkeypatch.setattr(synth, "_fm_wave", failing)
-        before = threading.active_count()
-        total, blocks = synth._fm_path_blocks(440.0, 880.0, [0.0, 1.0], 2.0, RATE)
-        assert total > 2 * self.BLOCK
+        blocks = synth._sweep_codes(440.5, 880.0, np.array([0.0, 1.0]), 2 * RATE, RATE)  # no period table
         assert len(next(blocks)) == self.BLOCK
         with pytest.raises(RuntimeError, match="second block"):
             next(blocks)
-        assert threading.active_count() == before
         assert next(blocks, None) is None
 
     def test_closing_after_the_first_block_stops_the_threads(self):
-        before = threading.active_count()
-        total, blocks = synth._fm_path_blocks(440.0, 880.0, [0.0, 1.0], 2.0, RATE)
-        assert threading.active_count() == before  # the checks start no thread
+        blocks = synth._sweep_codes(*synth._check_sweep(440.0, 880.0, [0.0, 1.0], 2.0, RATE))
         next(blocks)
-        assert threading.active_count() > before
         blocks.close()
-        assert threading.active_count() == before
+        assert next(blocks, None) is None
 
     def test_fm_path_leaves_no_thread_behind(self, tmp_path):
         before = threading.enumerate()
@@ -377,6 +376,78 @@ class TestFMPathBlocks:
         ]
         assert main(args) == 0
         assert threading.enumerate() == before
+
+
+def pcm_codes(values):
+    """floor(v * 32767 + 0.5): the WAV's codes of reference floats."""
+    return np.floor(values * 32767.0 + 0.5).astype("<i2")
+
+
+class TestSweepCodes:
+    """fm-path's WAV codes equal the reference's, sample by sample, at samples
+    where the period table without its guard quantizes differently."""
+
+    BLOCK = synth._BLOCK_SAMPLES
+
+    @staticmethod
+    def check(fc, fm, grid, seg, rate, start=0):
+        """(boundary samples, samples recomputed) of the render from start; every code is the reference's."""
+        grid, period = np.asarray(grid, dtype=np.float64), rate // math.gcd(int(fc), int(fm), rate)
+        recomputed, real = [], synth._fm_wave
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(synth, "_fm_wave", lambda t, *args: recomputed.append(len(t)) or real(t, *args))
+            blocks = list(synth._sweep_codes(fc, fm, grid, seg, rate, start))
+        boundaries = []
+        for block, begin in zip(blocks, range(start, seg * len(grid), TestSweepCodes.BLOCK)):
+            k = np.arange(begin, begin + len(block))
+            want = pcm_codes(fm_formula(fc, fm, grid[k // seg], k / rate))
+            assert block.tobytes() == want.tobytes(), begin
+            unguarded = pcm_codes(fm_formula(fc, fm, grid[k // seg], (k % period) / rate))
+            boundaries.extend(k[unguarded != want].tolist())
+        return boundaries, sum(recomputed)
+
+    def test_sweep_fine_boundary_samples_take_the_reference_code(self):
+        grid = 0.01 * np.arange(2001)  # fm-path --i-end 20 --i-step 0.01, 4410-sample segments: two periods
+        boundaries, recomputed = self.check(440.0, 880.0, grid, 4410, RATE)
+        assert 0 < len(boundaries) <= recomputed < 10**4, (len(boundaries), recomputed)
+
+    def test_a_block_at_index_1000_takes_the_reference_at_its_boundaries(self):
+        seg = 100 * RATE  # its last block ends 100 s in
+        boundaries, recomputed = self.check(440.0, 880.0, [1000.0], seg, RATE, seg - self.BLOCK)
+        assert 0 < len(boundaries) <= recomputed < self.BLOCK, (len(boundaries), recomputed)
+
+    def test_the_last_block_of_the_longest_render_takes_the_reference(self):
+        # at 2267 s with I = 1000 and fm = 1760 Hz the window passes half a code
+        seg = synth.MAX_RENDER_SAMPLES // 2
+        boundaries, recomputed = self.check(440.0, 1760.0, [999.0, 1000.0], seg, RATE, 2 * seg - self.BLOCK)
+        assert len(boundaries) > 0
+        assert recomputed == self.BLOCK
+
+    def test_other_voices_take_the_reference(self):
+        for fc, fm, seg, rate, table in [
+            (440.5, 880.0, 4410, RATE, False),  # no whole-hertz period
+            (440.0, 880.0, 2204, RATE, False),  # a period of 2205 samples, longer than the segment
+            (1.0, 3.0, 32770, 32770, False),  # P = 32770: more than half a block
+            (440.0, 441.0, 96000, 96000, False),  # P = 96000: more than a block
+            (1.0, 3.0, 32768, 32768, True),  # P = 32768, half a block: the longest period with a table
+        ]:
+            _boundaries, recomputed = self.check(fc, fm, [0.0, 7.0], seg, rate)
+            assert (recomputed < 2 * seg) == table, (fc, fm, rate, recomputed)
+
+    def test_a_long_period_adds_no_memory_to_a_block(self):
+        seg = rate = 4_000_000  # fc 1 Hz and fm 3 Hz repeat every 4 000 000 samples, 32 MB of float64
+        blocks = synth._sweep_codes(1.0, 3.0, np.array([0.0, 1.0]), seg, rate, 2 * seg - self.BLOCK)
+        tracemalloc.start()
+        try:
+            assert len(next(blocks)) == self.BLOCK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * self.BLOCK, peak  # a few float64 arrays of one block
+
+    def test_the_checker_script_passes_a_few_sweeps(self, capsys):
+        assert check_fm_pcm.main(["12", "3"]) == 0
+        assert capsys.readouterr().out.startswith("all ")
 
 
 BAD_RATES = [math.inf, -math.inf, math.nan, 0, 8000.5]

@@ -110,7 +110,7 @@ class TestBlockWriter:
     def test_blocks_write_the_bytes_of_one_buffer(self, tmp_path):
         samples = np.random.default_rng(5).uniform(-1.0, 1.0, 1000)
         write_wav(SampledWave(sample_rate=8000, samples=samples), tmp_path / "one.wav")
-        _write((tmp_path / "many.wav", _wav_pieces(8000, 1000, np.split(samples, [0, 1, 300, 999]))))
+        _write((tmp_path / "many.wav", _wav_pieces(8000, 1000, wavefile._pcm16(np.split(samples, [0, 1, 300, 999])))))
         assert (tmp_path / "many.wav").read_bytes() == (tmp_path / "one.wav").read_bytes()
 
     def test_empty_wave_is_a_bare_header(self, tmp_path):
@@ -136,7 +136,7 @@ class TestBlockWriter:
 
         path = tmp_path / "stopped.wav"
         with pytest.raises(KeyboardInterrupt):
-            _write((path, _wav_pieces(8000, 8, blocks())))
+            _write((path, _wav_pieces(8000, 8, wavefile._pcm16(blocks()))))
         assert not path.exists()
 
     def test_a_failed_close_removes_the_file(self, tmp_path, monkeypatch):
@@ -154,7 +154,7 @@ class TestBlockWriter:
         monkeypatch.setattr(ppm, "open", open_on_a_full_disk, raising=False)
         path = tmp_path / "full.wav"
         with pytest.raises(OSError, match="No space left"):
-            _write((path, _wav_pieces(8000, 4, [np.zeros(4)])))
+            _write((path, _wav_pieces(8000, 4, wavefile._pcm16([np.zeros(4)]))))
         assert not path.exists()
 
     def test_a_symlink_is_not_removed(self, tmp_path):
@@ -166,7 +166,7 @@ class TestBlockWriter:
         link = tmp_path / "link.wav"
         link.symlink_to(target)
         with pytest.raises(ValueError):
-            _write((link, _wav_pieces(8000, 6, blocks())))
+            _write((link, _wav_pieces(8000, 6, wavefile._pcm16(blocks()))))
         assert link.is_symlink()
 
 
@@ -213,7 +213,7 @@ class TestReusedBuffers:
         if blocks and len(blocks[0]):
             blocks[0][: len(EDGE_VALUES)] = EDGE_VALUES[: len(blocks[0])]
         count = sum(sizes)
-        _write((tmp_path / "w.wav", _wav_pieces(8000, count, iter(blocks))))
+        _write((tmp_path / "w.wav", _wav_pieces(8000, count, wavefile._pcm16(iter(blocks)))))
         raw = (tmp_path / "w.wav").read_bytes()
         assert len(raw) == 44 + 2 * count
         assert raw[44:] == b"".join(map(one_shot_pcm16, blocks))

@@ -32,7 +32,7 @@ from .color import ColorMatchingTable, OctaveMap, _cube_rows, _srgb_rows, _xyz_r
 from .color import spectrum_to_xyz, standard_observer, xyz_to_srgb
 from .gesture import _gesture_text, _map_rows, adsr_gesture
 from .ppm import _check_outputs, _ppm_pieces, _write
-from .spectrum import _fold_rows, _sideband_rows
+from .spectrum import _fold, _sideband_orders
 from .synth import _analyze_blocks, _check_size, _check_sweep, _segment_samples, _sweep_codes
 from .wavefile import _read_pcm16, _wav_pieces
 
@@ -184,18 +184,19 @@ def _fm_path_rows(
     XYZ as (n, 3) floats, 8-bit sRGB as (n, 3) int64, the sideband order N,
     and the total folded |amplitude| that _xyz_rows divides each color by.
 
-    Each block of _BLOCK_INDICES values takes one set of array passes, and
-    each row equals the chain fm_sidebands, fold_spectrum, spectrum_to_xyz,
-    xyz_to_srgb on its own index bit for bit.
+    Each block of _BLOCK_INDICES values takes one Bessel pass, then one fold and
+    one color pass per sideband order in it; each row equals the chain fm_sidebands,
+    fold_spectrum, spectrum_to_xyz, xyz_to_srgb on its own index bit for bit.
     """
     xyz, rgb = np.empty((len(grid), 3)), np.empty((len(grid), 3), dtype=np.int64)
     orders, weights = np.empty(len(grid), dtype=np.int64), np.empty(len(grid))
     for k in range(0, len(grid), _BLOCK_INDICES):
         block = slice(k, k + _BLOCK_INDICES)  # filled in place, so the rows are never held twice
-        freqs, amps, orders[block] = _sideband_rows(fc, fm, grid[block])
-        lines, amplitudes, counts, _dc = _fold_rows(freqs, amps, 2 * orders[block] + 1)
-        raw, weights[block] = _xyz_rows(lines, amplitudes, counts, octave, cmf)
-        xyz[block] = _cube_rows(raw)
+        for rows, freqs, amps in _sideband_orders(fc, fm, grid[block]):
+            lines, amplitudes, _dc = _fold(freqs, amps)
+            xyz[block][rows], weights[block][rows] = _xyz_rows(lines, amplitudes, octave, cmf)
+            orders[block][rows] = len(freqs) // 2
+        xyz[block] = _cube_rows(xyz[block])
         rgb[block] = _srgb_rows(xyz[block])
     return xyz, rgb, orders, weights
 

@@ -246,18 +246,16 @@ def freq_to_wavelength(frequency_hz: ArrayLike, octave: OctaveMap) -> float | np
     return float(lam) if np.ndim(frequency_hz) == 0 else lam
 
 
-def _xyz_rows(freqs, amps, counts, octave: OctaveMap, cmf: ColorMatchingTable) -> tuple[np.ndarray, np.ndarray]:
-    """spectrum_xyz_raw of many spectra as (n, 3) and the total |amplitude| each row is
-    divided by, from their lines end to end with counts[j] lines in spectrum j: one array
-    pass over all lines, each spectrum's sums in its line order (np.bincount adds from 0.0 in order)."""
-    nonzero = amps != 0.0
-    spectra = np.repeat(np.arange(len(counts)), counts)[nonzero]
-    weights = np.abs(amps[nonzero])
-    totals = np.bincount(spectra, weights, len(counts))
+def _xyz_rows(freqs, amps, octave: OctaveMap, cmf: ColorMatchingTable) -> tuple[np.ndarray, np.ndarray]:
+    """spectrum_xyz_raw of the lines at freqs once per row of amplitudes in amps, as (rows, 3),
+    and the total |amplitude| each row is divided by: the CMF is interpolated once per line, and
+    each row summed in its line order (np.bincount adds from 0.0 in order; a zero adds +0.0)."""
+    spectra, weights = np.repeat(np.arange(len(amps)), amps.shape[1]), np.abs(amps)
+    totals = np.bincount(spectra, weights.ravel(), len(amps))
     if not totals.all():
         raise DegenerateSpectrumError("spectrum has no nonzero-amplitude lines to color")
-    rows = _cmf_rows(freq_to_wavelength(octave_reduce(freqs[nonzero], octave), octave), cmf)
-    sums = [np.bincount(spectra, weights * column, len(counts)) for column in rows.T]
+    rows = _cmf_rows(freq_to_wavelength(octave_reduce(freqs, octave), octave), cmf)
+    sums = [np.bincount(spectra, (weights * column).ravel(), len(amps)) for column in rows.T]
     return np.stack(sums, axis=1) / totals[:, None], totals
 
 
@@ -273,7 +271,7 @@ def spectrum_xyz_raw(
     content.
     """
     f, a = spectrum.frequencies, spectrum.amplitudes
-    return XYZColor(*_xyz_rows(f, a, np.array([len(a)]), octave, cmf)[0][0].tolist())
+    return XYZColor(*_xyz_rows(f, a[None], octave, cmf)[0][0].tolist())
 
 
 def spectrum_to_xyz(

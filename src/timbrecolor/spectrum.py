@@ -117,17 +117,19 @@ def _check_voice(carrier_hz, modulator_hz, indices, rate=math.inf) -> tuple:
     return fc, fm, x
 
 
-def _sideband_rows(fc_hz: float, fm_hz: float, indices):
-    """(frequencies, amplitudes, N) of many indices: row j holds fm_sidebands
-    of index j in its first 2 N_j + 1 entries, then padding."""
+def _sideband_orders(fc_hz: float, fm_hz: float, indices):
+    """(rows, frequencies, amplitudes) of each sideband order N of many indices,
+    N ascending: the mask of the indices of order N, fc + n * fm for n from -N
+    to N, and those indices' fm_sidebands amplitudes as a (rows, 2 N + 1) array."""
     fc, fm, x = _check_voice(fc_hz, fm_hz, indices)
     block, _energy, orders = _bessel_rows(_validate_arguments(x))
     top = int(orders.max())
     if not math.isfinite(fc + top * fm):  # the same float operations as below
         raise ValueError(f"top sideband {fc!r} + {top} * {fm!r} Hz is not finite")
-    n = np.arange(2 * top + 1) - orders[:, None]
-    amps = np.take_along_axis(block.T, np.minimum(np.abs(n), len(block) - 1), axis=1)
-    return fc + n * fm, np.where((n < 0) & (n % 2 != 0), -amps, amps), orders
+    for order in sorted(set(orders.tolist())):
+        n, rows = np.arange(-order, order + 1), orders == order
+        amps = block.T[rows][:, np.abs(n)]
+        yield rows, fc + n * fm, np.where((n < 0) & (n % 2 != 0), -amps, amps)
 
 
 def fm_sidebands(
@@ -135,40 +137,38 @@ def fm_sidebands(
 ) -> list[tuple[float, float]]:
     """Raw two-sided sideband list [(carrier + n*modulator, J_n(I))].
 
-    One row of _sideband_rows: n runs from -N to N, N from bessel_row's
+    One row of _sideband_orders: n runs from -N to N, N from bessel_row's
     truncation rule at its fixed tolerance 1e-10, and J_{-n} = (-1)^n J_n.
     Frequencies may be negative or zero here; fold_spectrum canonicalizes.
     """
-    rows = _sideband_rows(carrier_hz, modulator_hz, float(modulation_index))
-    return list(zip(rows[0][0].tolist(), rows[1][0].tolist()))
+    _rows, freqs, amps = next(_sideband_orders(carrier_hz, modulator_hz, float(modulation_index)))
+    return list(zip(freqs.tolist(), amps[0].tolist()))
 
 
-def _fold_rows(freqs: np.ndarray, amps: np.ndarray, counts: np.ndarray) -> tuple:
-    """fold_spectrum of the first counts[j] lines of each row j: the folded
-    lines of all rows end to end, and each row's line count and dc_term."""
-    valid = np.arange(freqs.shape[1]) < counts[:, None]
-    bad = valid & ~(np.isfinite(freqs) & np.isfinite(amps))
+def _fold(freqs: np.ndarray, amps: np.ndarray) -> tuple:
+    """fold_spectrum of the lines at freqs once per row of amps: the folded frequencies,
+    which the rows share, then the rows' folded amplitudes (rows, lines) and dc_terms."""
+    bad = ~(np.isfinite(freqs) & np.isfinite(amps))
     if bad.any():
-        raise ValueError(f"raw line {(freqs[bad][0].item(), amps[bad][0].item())} is not finite")
-    order = np.argsort(np.where(valid, np.abs(freqs), np.inf), axis=1, kind="stable")
-    f = np.abs(np.take_along_axis(freqs, order, axis=1)[valid])
-    a = np.take_along_axis(np.where(freqs < 0.0, -amps, amps), order, axis=1)[valid]
-    row = np.repeat(np.arange(len(counts)), counts)
-    dc = f <= MERGE_TOLERANCE_HZ
-    dc_counts = np.bincount(row[dc], minlength=len(counts))
-    # groups open at each row's first line above DC, after each gap above the
+        row, i = np.argwhere(bad)[0]  # the first in row order
+        raise ValueError(f"raw line {(freqs[i].item(), amps[row, i].item())} is not finite")
+    order = np.argsort(np.abs(freqs), kind="stable")
+    f, a = np.abs(freqs[order]), np.where(freqs < 0.0, -amps, amps)[:, order]
+    dc = np.count_nonzero(f <= MERGE_TOLERANCE_HZ)  # the sort puts the DC lines first
+    # groups open at the first line above DC, after each gap above the
     # tolerance and, in order, at each line too far above its group's first
-    opens = ~dc & (np.diff(f, prepend=-np.inf) > MERGE_TOLERANCE_HZ)
-    opens[(np.cumsum(counts) - counts + dc_counts)[dc_counts < counts]] = True
+    opens = np.arange(len(f)) == dc
+    opens[dc + 1 :] = f[dc + 1 :] - f[dc:-1] > MERGE_TOLERANCE_HZ
     head, last = np.maximum.accumulate(np.where(opens, np.arange(len(f)), 0)), -1
-    for i in np.flatnonzero(~dc & (f - f[head] > MERGE_TOLERANCE_HZ)).tolist():
+    for i in np.flatnonzero(f - f[head] > MERGE_TOLERANCE_HZ).tolist():
         if f[i] - f[max(head[i], last)] > MERGE_TOLERANCE_HZ:
             opens[i], last = True, i
-    # bincount adds each group's amplitudes in order from 0.0, as a loop would;
-    # on empty input it returns int64 whatever the weights, hence 0.0 +
-    sums = 0.0 + np.bincount(np.cumsum(opens[~dc]) - 1, a[~dc])
-    lines = np.bincount(row[opens], minlength=len(counts))
-    return f[opens], sums, lines, 0.0 + np.bincount(row[dc], a[dc], len(counts))
+    # column 0 of a row sums its DC lines; bincount adds each column in order from
+    # 0.0, as a loop would; on empty input it returns int64 whatever the weights, hence 0.0 +
+    width = 1 + np.count_nonzero(opens)
+    columns = np.cumsum(opens) + width * np.arange(len(a))[:, None]
+    sums = 0.0 + np.bincount(columns.ravel(), a.ravel(), width * len(a)).reshape(len(a), width)
+    return f[opens], sums[:, 1:], sums[:, 0]
 
 
 def fold_spectrum(raw: Iterable[tuple[float, float]]) -> LineSpectrum:
@@ -180,14 +180,14 @@ def fold_spectrum(raw: Iterable[tuple[float, float]]) -> LineSpectrum:
     MERGE_TOLERANCE_HZ of zero (-0.0 included) accumulates into dc_term.  A
     line joins the open group when it lies within MERGE_TOLERANCE_HZ of the
     group's first frequency; the group keeps that frequency and the sum of
-    its amplitudes.  One row of _fold_rows.
+    its amplitudes.  One row of _fold.
     """
     pairs = np.array(list(raw), dtype=np.float64)
     if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
         raise ValueError(f"expected (frequency, amplitude) pairs, got shape {pairs.shape}")
     freqs, amps = pairs.reshape(-1, 2).T
-    f, a, _counts, dc = _fold_rows(freqs[None], amps[None], np.array([len(freqs)]))
-    return LineSpectrum(f, a, dc_term=dc.item())
+    f, a, dc = _fold(freqs, amps[None])
+    return LineSpectrum(f, a[0], dc_term=dc.item())
 
 
 def synthesize(

@@ -30,6 +30,7 @@ AMPLITUDE_FLOOR = 1e-6
 # caps fm-path's time and disk; its audio and its image stream in blocks
 MAX_RENDER_SAMPLES = 100_000_000
 _BLOCK_SAMPLES = 2**16  # samples per block: fm-path audio, the WAV reader, the fold
+_SCALE = 32767.0  # PCM16 full scale
 _UNSET = -32768  # the PCM16 code no sample in [-1, 1] quantizes to: marks one for the reference
 _MIN_ANALYSIS_PERIODS = 10
 
@@ -129,9 +130,14 @@ def _check_sweep(carrier_hz, modulator_hz, index_grid, segment_duration_sec, sam
     return fc, fm, grid, seg, rate
 
 
+def _quantizer_input(block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """block * 32767 + 0.5 into out, or in place: its floor is each sample's PCM16 code."""
+    out = block if out is None else out
+    return np.add(np.multiply(block, _SCALE, out=out), 0.5, out=out)
+
+
 def _sweep_codes(fc: float, fm: float, grid: np.ndarray, seg: int, rate: int, start: int = 0):
     """The PCM16 codes of sweep samples start, start + 1, ..., in '<i2' blocks of _BLOCK_SAMPLES."""
-    from .wavefile import _SCALE, _pcm16, _quantizer_input  # here: wavefile imports this module
     period = rate // math.gcd(int(fc), int(fm), rate) if fc.is_integer() and fm.is_integer() else seg + 1
     q = np.arange(period if period <= min(seg, _BLOCK_SAMPLES // 2) else 0) / rate  # sample k reads q = k mod P
     mod, car = np.sin(q * (_TWO_PI * fm)), q * (_TWO_PI * fc)  # the modulator's sine, once per sweep
@@ -147,17 +153,16 @@ def _sweep_codes(fc: float, fm: float, grid: np.ndarray, seg: int, rate: int, st
         # rounds twice within u 32768: beyond 32767 (2 E + 4.01 u) of an integer both quantizer inputs floor alike.
         window = 2.0**-52 * _SCALE * (_TWO_PI * t * (5.02 * fc + 4.01 * top * fm) + 10.01 * top + 10.005)
         codes = np.full(end - begin, _UNSET, dtype="<i2")
-        if len(q):  # each segment copies its table; a window of half a code marks every sample
+        if len(q) and window < 0.5:  # each segment copies its table, unless a window of half a code marks every sample
             phases = np.add(np.multiply.outer(index, mod), car)
-            tables = np.floor(_quantizer_input(np.sin(phases, out=phases), phases)).astype("<i2")
+            tables = np.floor(_quantizer_input(np.sin(phases, out=phases))).astype("<i2")
             tables[np.abs(phases - np.rint(phases)) <= window] = _UNSET  # phases now holds the quantizer inputs
             for s, table in enumerate(tables, first):
                 a, b = max(begin, s * seg), min(end, s * seg + seg)
                 copies = np.concatenate((table,) * -(-(b - a + a % period) // period))
                 codes[a - begin : b - begin] = copies[a % period :][: b - a]
-        k = begin + np.flatnonzero(codes == _UNSET)  # these take the reference's code, from write_wav's encoder
-        for piece in _pcm16([_fm_wave(k / rate, fc, fm, grid[k // seg])]):  # one piece, or none
-            codes[k - begin] = piece
+        k = begin + np.flatnonzero(codes == _UNSET)  # these take the reference's code, quantized as write_wav's
+        codes[k - begin] = np.floor(_quantizer_input(_fm_wave(k / rate, fc, fm, grid[k // seg])))
         yield codes
 
 

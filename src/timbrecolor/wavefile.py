@@ -17,14 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from .ppm import _write
-from .synth import _BLOCK_SAMPLES, SampledWave, _views
+from .synth import _BLOCK_SAMPLES, _SCALE, SampledWave, _quantizer_input, _views
 
 __all__ = ["WavFormatError", "write_wav", "read_wav"]
 
 _PCM_FORMAT = 1
 _BITS = 16
 _CHANNELS = 1
-_SCALE = 32767.0
 
 
 class WavFormatError(ValueError):
@@ -36,11 +35,6 @@ def write_wav(wave: SampledWave, path: str | Path) -> None:
     if not (wave.samples.min(initial=0.0) >= -1.0 and wave.samples.max(initial=0.0) <= 1.0):  # a NaN fails too
         raise ValueError("samples exceed [-1, 1]; normalize before writing")
     _write((path, _wav_pieces(wave.sample_rate, len(wave.samples), _pcm16([wave.samples]))))
-
-
-def _quantizer_input(block: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """block * 32767 + 0.5 into out: its floor is each sample's PCM16 code."""
-    return np.add(np.multiply(block, _SCALE, out=out), 0.5, out=out)
 
 
 def _pcm16(blocks):

@@ -33,7 +33,7 @@ from timbrecolor.color import (
     wavelength_to_xyz,
     xyz_to_srgb,
 )
-from timbrecolor.spectrum import LineSpectrum, _fold_rows, _sideband_rows, fm_sidebands, fold_spectrum
+from timbrecolor.spectrum import LineSpectrum, _fold, _sideband_orders, fm_sidebands, fold_spectrum
 
 
 ARRAY_BASES = [20.0, 261.63, 440.0, 333.3333, 20000.0]
@@ -44,12 +44,12 @@ def octave_inputs() -> np.ndarray:
     """Sweep lines, octave edges, extremes and random magnitudes."""
     values = [5e-324, 2.2250738585072014e-308, 1.7e308, np.finfo(float).max]
     # every folded line of the 2001-index fine sweep (fc 440, fm 880) and of
-    # an incommensurate one, each in one array pass (bit for bit the
+    # an incommensurate one, each sideband order folded once (bit for bit the
     # fold_spectrum(fm_sidebands(...)) chain per index, see test_spectrum)
     for fc, fm, indices in ((440.0, 880.0, 0.0037 + 0.01 * np.arange(2001)),
                             (100.0, 137.3, np.arange(0.0, 100.0, 0.5))):
-        freqs, amps, orders = _sideband_rows(fc, fm, indices)
-        values.extend(_fold_rows(freqs, amps, 2 * orders + 1)[0])
+        for _rows, freqs, amps in _sideband_orders(fc, fm, indices):
+            values.extend(_fold(freqs, amps)[0])
     for base in ARRAY_BASES:
         for edge in (base, 2.0 * base, 4.0 * base, 0.5 * base):
             values += [edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf)]
@@ -507,27 +507,39 @@ class TestRowForms:
         octave, cmf = OctaveMap(base_hz=261.63, flip=True), standard_observer()
         spectra = [fold_spectrum(fm_sidebands(300.0, 137.3, i)) for i in (0.0, 0.5, 3.0, 17.2)]
         spectra.append(LineSpectrum([100.0, 200.0, 300.0], [0.0, -0.5, 0.0]))
-        freqs = np.concatenate([sp.frequencies for sp in spectra])
-        amps = np.concatenate([sp.amplitudes for sp in spectra])
-        counts = np.array([len(sp.amplitudes) for sp in spectra])
-        got, totals = _xyz_rows(freqs, amps, counts, octave, cmf)
-        want = [spectrum_xyz_raw(sp, octave, cmf).as_array() for sp in spectra]
-        assert np.array_equal(got, want)
-        sums = []  # each row's |amplitude| added in line order
-        for sp in spectra:
-            total = 0.0
-            for amplitude in sp.amplitudes.tolist():
-                total += abs(amplitude)
-            sums.append(total)
-        assert totals.tolist() == sums
+        for spectrum in spectra:
+            a = spectrum.amplitudes
+            amps = np.vstack((a, a[::-1], -3.0 * a))
+            rows = [LineSpectrum(spectrum.frequencies, row) for row in amps]
+            got, totals = _xyz_rows(spectrum.frequencies, amps, octave, cmf)
+            want = [spectrum_xyz_raw(sp, octave, cmf).as_array() for sp in rows]
+            assert np.array_equal(got, want)
+            sums = []  # each row's |amplitude| added in line order
+            for sp in rows:
+                total = 0.0
+                for amplitude in sp.amplitudes.tolist():
+                    total += abs(amplitude)
+                sums.append(total)
+            assert totals.tolist() == sums
 
     def test_xyz_rows_reject_any_degenerate_row(self):
         with pytest.raises(DegenerateSpectrumError):
-            _xyz_rows(np.array([100.0, 200.0]), np.array([1.0, 0.0]), np.array([1, 1]),
+            _xyz_rows(np.array([100.0, 200.0]), np.array([[1.0, 0.0], [0.0, -0.0]]),
                       OctaveMap(), standard_observer())
         with pytest.raises(DegenerateSpectrumError):
-            _xyz_rows(np.array([100.0]), np.array([1.0]), np.array([1, 0]),
-                      OctaveMap(), standard_observer())
+            _xyz_rows(np.empty(0), np.empty((2, 0)), OctaveMap(), standard_observer())
+
+    def test_zero_amplitude_lines_change_no_bit(self):
+        # every row's sums start at +0.0 and add only values >= +0.0, so a zero line's +0.0 changes nothing
+        octave, cmf = OctaveMap(), standard_observer()
+        folded = fold_spectrum(fm_sidebands(440.0, 880.0, 7.3))
+        f, a = folded.frequencies, folded.amplitudes
+        zero = np.arange(len(f)) % 3 == 0  # the first line among them
+        amps = np.vstack((a, -a[::-1], 0.37 * a))
+        amps[:, zero] = [[0.0], [-0.0], [0.0]]
+        got = _xyz_rows(f, amps, octave, cmf)
+        want = _xyz_rows(f[~zero], amps[:, ~zero], octave, cmf)
+        assert [part.tobytes() for part in got] == [part.tobytes() for part in want]
 
 
 class TestChromaticity:

@@ -13,8 +13,8 @@ from timbrecolor.spectrum import (
     MERGE_TOLERANCE_HZ,
     LineSpectrum,
     SpectralLine,
-    _fold_rows,
-    _sideband_rows,
+    _fold,
+    _sideband_orders,
     fm_sidebands,
     fold_spectrum,
     synthesize,
@@ -272,18 +272,22 @@ def bits(values) -> np.ndarray:
 class TestArrayRows:
     """Many rows at once equal one row at a time, bit for bit."""
 
-    def test_sideband_rows_are_fm_sidebands(self):
-        indices = [0.0, 5e-324, 0.37, 2.0, 13.7, 40.0]
-        freqs, amps, orders = _sideband_rows(300.0, 137.3, indices)
-        for j, index in enumerate(indices):
-            raw = fm_sidebands(300.0, 137.3, index)
-            assert len(raw) == 2 * orders[j] + 1
-            got = np.column_stack((freqs[j], amps[j]))[: len(raw)]
-            assert np.array_equal(bits(got), bits(raw))
-            assert all(type(v) is float for pair in raw for v in pair)
+    def test_sideband_orders_are_fm_sidebands(self):
+        indices = [0.0, 5e-324, 0.37, 2.0, 13.7, 40.0, 13.7, 0.0]
+        seen, orders = np.zeros(len(indices), dtype=np.int64), []
+        for rows, freqs, amps in _sideband_orders(300.0, 137.3, indices):
+            orders.append(len(freqs) // 2)
+            assert amps.shape == (np.count_nonzero(rows), 2 * orders[-1] + 1)
+            seen += rows
+            for j, row in zip(np.flatnonzero(rows).tolist(), amps):
+                raw = fm_sidebands(300.0, 137.3, indices[j])
+                assert np.array_equal(bits(np.column_stack((freqs, row))), bits(raw))
+                assert all(type(v) is float for pair in raw for v in pair)
+        assert seen.tolist() == [1] * len(indices)  # each index in one order
+        assert orders == sorted(set(orders)) and len(orders) < len(indices)
 
-    def test_fold_rows_equal_fold_spectrum_row_by_row(self):
-        rows = [
+    def test_fold_equals_fold_spectrum_row_by_row(self):
+        lines = [
             [(1000.0, 0.25), (1000.0 + 0.6e-9, 0.5), (1000.0 + 1.2e-9, 0.125)],
             [],
             [(-0.0, 0.4), (0.5e-9, -0.0), (1.6e-9, 0.3), (200.0, 1.0)],
@@ -293,32 +297,33 @@ class TestArrayRows:
             [(440.0 + n * 3e-13, 1.0 / (n + 9)) for n in range(-8, 9)],
             [(440.0 + n * 1e-10, 1.0 / (n + 30)) for n in range(-20, 21)],
         ]
-        width = max(map(len, rows))
-        freqs, amps = np.full((len(rows), width), 7.0), np.full((len(rows), width), 9.0)
-        for j, row in enumerate(rows):
-            freqs[j, : len(row)], amps[j, : len(row)] = np.reshape(row, (-1, 2)).T
-        f, a, counts, dc = _fold_rows(freqs, amps, np.array(list(map(len, rows))))
-        ends = np.cumsum(counts)
-        for j, row in enumerate(rows):
-            want = fold_spectrum(row)
-            part = slice(ends[j] - counts[j], ends[j])
-            assert np.array_equal(bits(f[part]), bits(want.frequencies)), j
-            assert np.array_equal(bits(a[part]), bits(want.amplitudes)), j
-            assert bits(dc[j]) == bits(want.dc_term), j
+        for k, pairs in enumerate(lines):
+            freqs, amps = np.reshape(pairs, (-1, 2)).T
+            rows = np.vstack((amps, amps[::-1], -0.0 * amps, np.arange(len(amps)) - 1.5))
+            f, a, dc = _fold(freqs, rows)
+            assert a.shape == (len(rows), len(f)) and dc.shape == (len(rows),)
+            for j, row in enumerate(rows):
+                want = fold_spectrum(zip(freqs, row))
+                assert np.array_equal(bits(f), bits(want.frequencies)), (k, j)
+                assert np.array_equal(bits(a[j]), bits(want.amplitudes)), (k, j)
+                assert bits(dc[j]) == bits(want.dc_term), (k, j)
 
     @pytest.mark.parametrize("freqs", [[0.0], [1e-9, -0.0], []])
-    def test_fold_rows_are_float64_with_no_line_above_dc(self, freqs):
-        got = _fold_rows(np.array([freqs]), np.ones((1, len(freqs))), np.array([len(freqs)]))
-        assert [part.dtype for part in got] == [np.float64, np.float64, np.int64, np.float64]
+    def test_fold_is_float64_with_no_line_above_dc(self, freqs):
+        got = _fold(np.array(freqs), np.ones((2, len(freqs))))
+        assert [(part.dtype, part.shape) for part in got] == [
+            (np.float64, (0,)), (np.float64, (2, 0)), (np.float64, (2,))
+        ]
 
-    def test_fold_rows_report_the_first_bad_line_in_row_order(self):
-        freqs = np.array([[1.0, 2.0, np.inf], [np.inf, 1.0, 2.0]])
-        amps = np.array([[1.0, np.nan, 1.0], [1.0, 1.0, 1.0]])
-        with pytest.raises(ValueError, match=r"raw line \(2.0, nan\) is not finite"):
-            _fold_rows(freqs, amps, np.array([3, 3]))
-        # padding past a row's count is never read
-        f, _a, counts, _dc = _fold_rows(freqs, amps, np.array([1, 0]))
-        assert f.tolist() == [1.0] and counts.tolist() == [1, 0]
+    def test_fold_reports_the_first_bad_line_in_row_order(self):
+        freqs = np.array([1.0, 2.0, np.inf])
+        amps = np.array([[1.0, np.nan, 1.0], [np.nan, 1.0, 1.0]])
+        with pytest.raises(ValueError, match=r"^raw line \(2.0, nan\) is not finite$"):
+            _fold(freqs, amps)
+        with pytest.raises(ValueError, match=r"^raw line \(1.0, nan\) is not finite$"):
+            _fold(freqs, amps[::-1])
+        with pytest.raises(ValueError, match=r"^raw line \(inf, 1.0\) is not finite$"):
+            _fold(freqs, np.ones((2, 3)))
 
 
 class TestSynthesize:

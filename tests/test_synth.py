@@ -423,6 +423,15 @@ class TestSweepCodes:
         assert len(boundaries) > 0
         assert recomputed == self.BLOCK
 
+    def test_the_last_block_of_the_longest_render_builds_no_table(self, monkeypatch):
+        # its window passes half a code, so the reference's call is the one quantization
+        sizes, real = [], synth._quantizer_input
+        monkeypatch.setattr(synth, "_quantizer_input", lambda block, *out: sizes.append(block.size) or real(block, *out))
+        seg = synth.MAX_RENDER_SAMPLES // 2
+        blocks = list(synth._sweep_codes(440.0, 1760.0, np.array([999.0, 1000.0]), seg, RATE, 2 * seg - self.BLOCK))
+        assert [len(block) for block in blocks] == [self.BLOCK]
+        assert sizes == [self.BLOCK]  # a table of one 2205-sample period would add a call
+
     def test_other_voices_take_the_reference(self):
         for fc, fm, seg, rate, table in [
             (440.5, 880.0, 4410, RATE, False),  # no whole-hertz period
